@@ -35,8 +35,6 @@ from .equivalences import (
     EquivVariant,
     Partition,
     check_colouring,
-    check_colouring_ks,
-    check_colouring_lts,
     coarsest_partition_ks,
     coarsest_partition_lts,
     divergent_states,
@@ -98,8 +96,6 @@ __all__ = [
     "associated_lts",
     "check",
     "check_colouring",
-    "check_colouring_ks",
-    "check_colouring_lts",
     "check_consistency",
     "coarsest_congruence_probe",
     "coarsest_partition_ks",

@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except (FormatError, StructureError, logic.FormulaError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:   # never let a crash read as a verdict
+        print(f"error: internal error: {type(err).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

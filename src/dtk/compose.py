@@ -28,12 +28,7 @@ def merge(l1: Lts, s, l2: Lts, t):
     for (l, x) in ((l1, s), (l2, t)):
         if x not in set(l.states):
             raise ValueError(f"unknown state {x!r}")
-    succ1 = {u: [] for u in l1.states}
-    for (u, a, v) in l1.transitions:
-        succ1[u].append((a, v))
-    succ2 = {u: [] for u in l2.states}
-    for (u, a, v) in l2.transitions:
-        succ2[u].append((a, v))
+    succ1, succ2 = l1.adjacency.succ, l2.adjacency.succ
 
     def name(pair):
         return f"{pair[0]}|{pair[1]}"

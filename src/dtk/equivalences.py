@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import backward_reach, tarjan_cycle_states
-from .structures import KripkeStructure, Lts, TAU, deadlock_states
+from .structures import KripkeStructure, Lts, TAU
 
 
 class EquivVariant(Enum):
@@ -106,15 +106,25 @@ def join(p: Partition, q: Partition, state_order) -> Partition:
     return Partition.from_blocks(groups.values(), state_order)
 
 
-def _graph_view(g):
-    """Uniform view: (states, edges as (src, action, dst), silent test,
-    label map or None)."""
+def _labels(g):
+    """The labelling a colouring must respect (None for an LTS)."""
     if isinstance(g, KripkeStructure):
-        edges = [(u, None, v) for (u, v) in g.transitions]
-        return g.states, edges, (lambda a: True), g.labelling
+        return g.labelling
     if isinstance(g, Lts):
-        return g.states, list(g.transitions), (lambda a: a == TAU), None
+        return None
     raise TypeError(f"unsupported structure {type(g).__name__}")
+
+
+# every Kripke step (action None) is silent; on an LTS only tau
+_SILENT = frozenset((None, TAU))
+
+
+def _inert_reach(g, block, targets=()):
+    """States of ``block`` with an infinite inert run inside it, or an
+    inert run inside it that reaches ``targets``."""
+    adj = g.adjacency
+    cyc = tarjan_cycle_states(block, adj.succ, _SILENT)
+    return backward_reach(cyc | set(targets), adj.pred, block, _SILENT)
 
 
 @dataclass(frozen=True)
@@ -126,38 +136,26 @@ class Signature:
     completable: bool | None
 
 
-def _signatures(states, edges, silent, block_of, blocks, variant, dead):
+def _signatures(g, part, variant):
     """Per-state signatures over the given partition."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
-    out_edges = {s: [] for s in states}
-    for (u, a, v) in edges:
-        out_edges[u].append((a, v))
-
+    succ = g.adjacency.succ
+    block_of = part.block_of
     sigs = {}
-    for block in blocks:
-        members = list(block)
-        inert = {s: [] for s in members}
-        for s in members:
-            for (a, v) in out_edges[s]:
-                if silent(a) and block_of[v] == block_of[s]:
-                    inert[s].append(v)
-        div_set = comp_set = None
-        if need_div or need_comp:
-            cyc = tarjan_cycle_states(members, inert)
-            div_set = backward_reach(cyc, members, inert)
-            if need_comp:
-                local_dead = {s for s in members if s in dead}
-                comp_set = backward_reach(cyc | local_dead, members, inert)
-        for s in members:
+    for block in part.blocks:
+        div_set = _inert_reach(g, block) if need_div else None
+        comp_set = (_inert_reach(g, block, [s for s in block if not succ[s]])
+                    if need_comp else None)
+        for s in block:
             own = block_of[s]
             seen = {s}
             frontier = [s]
             obs = set()
             while frontier:
                 u = frontier.pop()
-                for (a, v) in out_edges[u]:
-                    if silent(a) and block_of[v] == own:
+                for (a, v) in succ[u]:
+                    if a in _SILENT and block_of[v] == own:
                         if v not in seen:
                             seen.add(v)
                             frontier.append(v)
@@ -171,14 +169,14 @@ def _signatures(states, edges, silent, block_of, blocks, variant, dead):
     return sigs
 
 
-def _initial_partition(g, variant) -> Partition:
-    states, _, _, labels = _graph_view(g)
+def _initial_partition(g) -> Partition:
+    labels = _labels(g)
     if labels is None:
-        return Partition.from_blocks([list(states)], states)
+        return Partition.from_blocks([list(g.states)], g.states)
     groups = {}
-    for s in states:
+    for s in g.states:
         groups.setdefault(labels[s], []).append(s)
-    return Partition.from_blocks(groups.values(), states)
+    return Partition.from_blocks(groups.values(), g.states)
 
 
 def refinement_history(g, variant: EquivVariant):
@@ -189,14 +187,12 @@ def refinement_history(g, variant: EquivVariant):
     partition) that produced it.  The last partition is the coarsest
     consistent colouring for the variant.
     """
-    states, edges, silent, _ = _graph_view(g)
+    states = g.states
     order = {s: i for i, s in enumerate(states)}
-    dead = deadlock_states(g)
-    part = _initial_partition(g, variant)
+    part = _initial_partition(g)
     history = [(part, None)]
     while True:
-        sigs = _signatures(states, edges, silent, part.block_of,
-                           part.blocks, variant, dead)
+        sigs = _signatures(g, part, variant)
         new_blocks = []
         for block in part.blocks:
             buckets = {}
@@ -223,34 +219,20 @@ def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partitio
     return refinement_history(k, variant)[-1][0]
 
 
-def check_colouring_lts(l: Lts, p: Partition, variant: EquivVariant) -> bool:
+def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     """Decide validity of a colouring through the finite per-block
     conditions: equal observation sets (length-three coloured traces),
     plus a uniform divergence or completion bit where the variant asks
-    for one."""
-    return _check_colouring(l, p, variant)
-
-
-def check_colouring_ks(k: KripkeStructure, p: Partition,
-                       variant: EquivVariant) -> bool:
-    return _check_colouring(k, p, variant)
-
-
-def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
-    return _check_colouring(g, p, variant)
-
-
-def _check_colouring(g, p, variant):
-    states, edges, silent, labels = _graph_view(g)
-    if set(p.block_of) != set(states):
+    for one; on a Kripke structure blocks must also be label-uniform."""
+    labels = _labels(g)
+    if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
     if labels is not None:
         for block in p.blocks:
             labs = {labels[s] for s in block}
             if len(labs) > 1:
                 return False
-    sigs = _signatures(states, edges, silent, p.block_of, p.blocks,
-                       variant, deadlock_states(g))
+    sigs = _signatures(g, p, variant)
     for block in p.blocks:
         if len({sigs[s] for s in block}) > 1:
             return False
@@ -295,16 +277,17 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 
     Validity is closed under join, so the result is the unique coarsest
     valid colouring.  Only meant for small instances."""
-    states, _, _, _ = _graph_view(g)
+    _labels(g)
+    states = g.states
     if len(states) > ORACLE_STATE_BOUND:
         raise ValueError(
             f"oracle limited to {ORACLE_STATE_BOUND} states, got {len(states)}")
     result = None
     for blocks in _set_partitions(list(states)):
         cand = Partition.from_blocks(blocks, states)
-        if _check_colouring(g, cand, variant):
+        if check_colouring(g, cand, variant):
             result = cand if result is None else join(result, cand, states)
-    if result is None or not _check_colouring(g, result, variant):
+    if result is None or not check_colouring(g, result, variant):
         raise AssertionError("no valid colouring found; identity must be valid")
     return result
 
@@ -312,30 +295,19 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
-    states, edges, silent, _ = _graph_view(g)
-    if set(p.block_of) != set(states):
+    _labels(g)
+    if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
-    out_edges = {s: [] for s in states}
-    for (u, a, v) in edges:
-        out_edges[u].append((a, v))
     result = set()
     for block in p.blocks:
-        members = list(block)
-        inert = {
-            s: [v for (a, v) in out_edges[s]
-                if silent(a) and p.block_of[v] == p.block_of[s]]
-            for s in members
-        }
-        cyc = tarjan_cycle_states(members, inert)
-        result |= backward_reach(cyc, members, inert)
+        result |= _inert_reach(g, block)
     return result
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:
     """Same block of the coarsest partition for the variant."""
-    states, _, _, _ = _graph_view(g)
     for x in (s, t):
-        if x not in states:
+        if x not in g.states:
             raise ValueError(f"unknown state {x!r}")
     if isinstance(g, KripkeStructure):
         part = coarsest_partition_ks(g, variant)

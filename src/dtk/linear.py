@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .equivalences import Partition
-from .structures import KripkeStructure, Lts, Path, TAU, deadlock_states
+from .structures import KripkeStructure, Lts, Path, TAU
 
 OPEN = "open"
 DEADLOCK = "deadlock"
@@ -97,19 +97,6 @@ def _colouring_fn(g, colouring):
     raise ValueError(f"unknown colouring {colouring!r}")
 
 
-def _step_view(g):
-    """(edges per state, is_lts): edges yield (action, target) with the
-    action None on a Kripke structure."""
-    edges = {s: [] for s in g.states}
-    if isinstance(g, KripkeStructure):
-        for (u, v) in g.transitions:
-            edges[u].append((None, v))
-        return edges, False
-    for (u, a, v) in g.transitions:
-        edges[u].append((a, v))
-    return edges, True
-
-
 def _flatten(steps, is_lts):
     if is_lts:
         out = []
@@ -134,8 +121,8 @@ def complete_traces(g, s, colouring, bound: int):
     if s not in set(g.states):
         raise ValueError(f"unknown state {s!r}")
     colour = _colouring_fn(g, colouring)
-    edges, is_lts = _step_view(g)
-    dead = deadlock_states(g)
+    edges = g.adjacency.succ
+    is_lts = not isinstance(g, KripkeStructure)
     emitted = set()
     open_seen = [False]
     start = colour(s)
@@ -152,7 +139,7 @@ def complete_traces(g, s, colouring, bound: int):
                 return
             stem, cycle = _canonical_lasso(steps[:prev], steps[prev:])
             emit(stem, LASSO, cycle)
-        if u in dead:
+        if not edges[u]:
             emit(steps, DEADLOCK)
             return
         saved = onpath.get(u)
@@ -182,7 +169,8 @@ def coloured_traces(g, s, colouring, bound: int) -> set:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     colour = _colouring_fn(g, colouring)
-    edges, is_lts = _step_view(g)
+    edges = g.adjacency.succ
+    is_lts = not isinstance(g, KripkeStructure)
     start = colour(s)
     seen_configs = set()
     out = set()
@@ -362,9 +350,7 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
     Complete for the contracted-trace witnesses needed at small scale;
     paths revisiting a state beyond the lasso closure are not listed.
     """
-    succ = {u: [] for u in k.states}
-    for (u, v) in k.transitions:
-        succ[u].append(v)
+    succ = k.adjacency.succ
     out = []
 
     def walk(path):
@@ -372,7 +358,7 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
         if not succ[u]:
             out.append(Path("finite", tuple(path)))
             return
-        for v in succ[u]:
+        for (_, v) in succ[u]:
             if v in path:
                 i = path.index(v)
                 stem = tuple(path[:i]) if i > 0 else tuple(path)

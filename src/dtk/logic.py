@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .equivalences import EquivVariant, refinement_history
-from .graphs import tarjan_cycle_states
+from .graphs import backward_reach, tarjan_cycle_states
 from .structures import DELTA_PROP, KripkeStructure
 
 
@@ -257,25 +257,9 @@ def formula_propositions(phi) -> set:
 # Model checking
 # ---------------------------------------------------------------------------
 
-def _backward_closure(targets, domain, preds):
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for u in preds.get(v, ()):
-            if u in domain and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen
-
-
 def _evaluator(k: KripkeStructure, semantics: Semantics):
-    preds = {s: [] for s in k.states}
-    succs = {s: [] for s in k.states}
-    for (u, v) in k.transitions:
-        succs[u].append(v)
-        preds[v].append(u)
-    dead = frozenset(s for s in k.states if not succs[s])
+    adj = k.adjacency
+    dead = frozenset(adj.deadlocks)
     memo = {}
 
     def ev(f):
@@ -297,16 +281,8 @@ def _evaluator(k: KripkeStructure, semantics: Semantics):
                     out &= ev(g)
                 return out
             case ExistsUntil(lhs, rhs):
-                sat_l, sat_r = ev(lhs), ev(rhs)
-                found = set(sat_r)
-                frontier = list(sat_r)
-                while frontier:
-                    t = frontier.pop()
-                    for s in preds[t]:
-                        if s in sat_l and s not in found:
-                            found.add(s)
-                            frontier.append(s)
-                return frozenset(found)
+                sat_l = ev(lhs)
+                return frozenset(backward_reach(ev(rhs), adj.pred, sat_l))
             case ExistsGInf(sub):
                 return _sat_inf_globally(ev(sub))
             case ExistsG(sub):
@@ -314,14 +290,13 @@ def _evaluator(k: KripkeStructure, semantics: Semantics):
                 if semantics is Semantics.DIVERGENCE_BLIND:
                     return sat_s
                 inf_part = _sat_inf_globally(sat_s)
-                dead_part = _backward_closure(dead & sat_s, sat_s, preds)
+                dead_part = backward_reach(dead & sat_s, adj.pred, sat_s)
                 return frozenset(inf_part | dead_part)
         raise FormulaError(f"not a state formula: {f!r}")
 
     def _sat_inf_globally(sat_s):
-        sub_succ = {s: [v for v in succs[s] if v in sat_s] for s in sat_s}
-        cyc = tarjan_cycle_states(list(sat_s), sub_succ)
-        return frozenset(_backward_closure(cyc, sat_s, preds))
+        cyc = tarjan_cycle_states(sat_s, adj.succ)
+        return frozenset(backward_reach(cyc, adj.pred, sat_s))
 
     return ev
 

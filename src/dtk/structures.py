@@ -8,7 +8,8 @@ for every deterministic ordering in the toolkit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 TAU = "tau"
 DELTA_PROP = "delta"
@@ -42,21 +43,61 @@ def _dedup(seq):
 
 
 @dataclass(frozen=True)
-class KripkeStructure:
-    """Finite state graph with atomic-proposition labels; may be non-total.
+class Adjacency:
+    """Per-state successor and predecessor lists of a state graph.
 
-    ``delta_extended`` marks structures produced by the deadlock
-    extension; only those may carry the reserved proposition "delta".
+    ``succ[s]`` holds ``(action, target)`` pairs and ``pred[s]`` holds
+    ``(action, source)`` pairs, both in transition order, with action
+    None on a Kripke structure.  ``deadlocks`` lists the states without
+    successors in declaration order.  The lists are shared: read only.
     """
 
-    states: tuple
-    labelling: dict
-    transitions: tuple
-    delta_extended: bool = False
+    succ: dict
+    pred: dict
+    deadlocks: tuple
+
+    @staticmethod
+    def build(states, transitions):
+        succ = {s: [] for s in states}
+        pred = {s: [] for s in states}
+        for t in transitions:
+            if len(t) == 2:
+                (u, v), a = t, None
+            else:
+                (u, a, v) = t
+            succ[u].append((a, v))
+            pred[v].append((a, u))
+        return Adjacency(succ, pred, tuple(s for s in states if not succ[s]))
+
+
+class _StateGraph:
+    """Validation and the cached adjacency index shared by the three
+    structure types.  Subclasses set ``states`` and ``transitions``."""
+
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        return Adjacency.build(self.states, self.transitions)
+
+    def _check_transitions(self):
+        """Reject malformed steps and steps that leave the declared
+        states; drop duplicates."""
+        declared = set(self.states)
+        for t in self.transitions:
+            if len(t) != self._step_width:
+                raise StructureError(f"malformed transition {t!r}")
+            if t[0] not in declared or t[-1] not in declared:
+                raise StructureError(
+                    f"transition ({', '.join(map(str, t))}) leaves declared states")
+        object.__setattr__(self, "transitions", _dedup(self.transitions))
+
+
+class _LabelledGraph(_StateGraph):
+    """A state graph with a proposition labelling; ``delta_extended``
+    marks structures produced by the deadlock extension, and only those
+    may carry the reserved proposition "delta"."""
 
     def __post_init__(self):
         object.__setattr__(self, "states", _dedup(self.states))
-        declared = set(self.states)
         labelling = {}
         for s in self.states:
             props = frozenset(self.labelling.get(s, ()))
@@ -68,16 +109,24 @@ class KripkeStructure:
                         f"reserved proposition {DELTA_PROP!r} on state {s}")
             labelling[s] = props
         object.__setattr__(self, "labelling", labelling)
-        for (src, dst) in self.transitions:
-            if src not in declared or dst not in declared:
-                raise StructureError(f"transition ({src}, {dst}) leaves declared states")
-        object.__setattr__(self, "transitions", _dedup(self.transitions))
-
-    def successors(self, s):
-        return [t for (u, t) in self.transitions if u == s]
+        self._check_transitions()
 
     def label(self, s):
         return self.labelling[s]
+
+
+@dataclass(frozen=True)
+class KripkeStructure(_LabelledGraph):
+    """Finite state graph with atomic-proposition labels; may be non-total."""
+
+    _step_width = 2
+    states: tuple
+    labelling: dict
+    transitions: tuple
+    delta_extended: bool = False
+
+    def successors(self, s):
+        return [t for (_, t) in self.adjacency.succ.get(s, ())]
 
     @property
     def propositions(self):
@@ -88,9 +137,10 @@ class KripkeStructure:
 
 
 @dataclass(frozen=True)
-class Lts:
+class Lts(_StateGraph):
     """Finite state graph with action-labelled transitions; "tau" is silent."""
 
+    _step_width = 3
     states: tuple
     actions: tuple
     transitions: tuple
@@ -100,44 +150,21 @@ class Lts:
         acts = [TAU] + [a for a in self.actions if a != TAU]
         acts += [a for (_, a, _) in self.transitions if a not in acts]
         object.__setattr__(self, "actions", _dedup(acts))
-        declared = set(self.states)
-        for (src, a, dst) in self.transitions:
-            if src not in declared or dst not in declared:
-                raise StructureError(f"transition ({src}, {a}, {dst}) leaves declared states")
-        object.__setattr__(self, "transitions", _dedup(self.transitions))
+        self._check_transitions()
 
     def successors(self, s):
-        return [(a, t) for (u, a, t) in self.transitions if u == s]
+        return list(self.adjacency.succ.get(s, ()))
 
 
 @dataclass(frozen=True)
-class DoublyLabelledTS:
+class DoublyLabelledTS(_LabelledGraph):
     """State graph carrying both a state labelling and action labels."""
 
+    _step_width = 3
     states: tuple
     labelling: dict
     transitions: tuple
     delta_extended: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _dedup(self.states))
-        declared = set(self.states)
-        labelling = {}
-        for s in self.states:
-            props = frozenset(self.labelling.get(s, ()))
-            for p in props:
-                if p == DELTA_PROP and not self.delta_extended:
-                    raise StructureError(
-                        f"reserved proposition {DELTA_PROP!r} on state {s}")
-            labelling[s] = props
-        object.__setattr__(self, "labelling", labelling)
-        for (src, a, dst) in self.transitions:
-            if src not in declared or dst not in declared:
-                raise StructureError(f"transition ({src}, {a}, {dst}) leaves declared states")
-        object.__setattr__(self, "transitions", _dedup(self.transitions))
-
-    def label(self, s):
-        return self.labelling[s]
 
 
 @dataclass(frozen=True)
@@ -165,22 +192,14 @@ class Path:
 
 def path_is_valid(g, path: Path) -> bool:
     """True iff consecutive states are related by transitions of ``g``."""
-    succ = {s: set() for s in g.states}
-    if isinstance(g, KripkeStructure):
-        for (u, v) in g.transitions:
-            succ[u].add(v)
-    else:
-        for (u, _, v) in g.transitions:
-            succ[u].add(v)
+    succ = g.adjacency.succ
     seq = list(path.stem) + list(path.cycle)
     if any(s not in succ for s in seq):
         return False
-    for u, v in zip(seq, seq[1:]):
-        if v not in succ[u]:
-            return False
-    if path.kind == "lasso" and path.cycle[0] not in succ[seq[-1]]:
-        return False
-    return True
+    steps = list(zip(seq, seq[1:]))
+    if path.kind == "lasso":
+        steps.append((seq[-1], path.cycle[0]))
+    return all(any(t == v for (_, t) in succ[u]) for (u, v) in steps)
 
 
 def path_is_maximal(g, path: Path) -> bool:
@@ -227,6 +246,48 @@ def _parse_state_with_props(tokens, i):
     return sid, props
 
 
+def _parse(text, edge_syntax, labelled, allow_delta=False):
+    """Shared reader of the three formats.
+
+    ``edge_syntax`` is the edge directive with its operands, e.g.
+    ``edge <src> <dst>``; ``labelled`` selects ``state <id> { ... }``
+    over ``state <id>``.  Returns (states, labelling, edges, saw_delta).
+    """
+    directive, width = edge_syntax.split()[0], len(edge_syntax.split())
+    states, labelling, edges = [], {}, []
+    saw_delta = False
+    for i, tokens in _lines(text):
+        if tokens[0] == "state":
+            if labelled:
+                sid, props = _parse_state_with_props(tokens, i)
+            elif len(tokens) != 2:
+                raise FormatError("expected: state <id>", i)
+            else:
+                sid, props = _check_id(tokens[1], i), []
+            if sid in labelling:
+                raise FormatError(f"duplicate state {sid!r}", i)
+            if DELTA_PROP in props:
+                if not allow_delta:
+                    raise FormatError(
+                        f"proposition {DELTA_PROP!r} is reserved", i)
+                saw_delta = True
+            states.append(sid)
+            labelling[sid] = props
+        elif tokens[0] == directive:
+            if len(tokens) != width:
+                raise FormatError(f"expected: {edge_syntax}", i)
+            edge = tuple(tokens[1:])
+            for token in edge:
+                _check_id(token, i)
+            for endpoint in (edge[0], edge[-1]):
+                if endpoint not in labelling:
+                    raise FormatError(f"undeclared state {endpoint!r}", i)
+            edges.append(edge)
+        else:
+            raise FormatError(f"unknown directive {tokens[0]!r}", i)
+    return tuple(states), labelling, tuple(edges), saw_delta
+
+
 def parse_ks(text: str, allow_delta: bool = False) -> KripkeStructure:
     """Parse the line-oriented Kripke-structure format.
 
@@ -234,92 +295,22 @@ def parse_ks(text: str, allow_delta: bool = False) -> KripkeStructure:
     '#' starts a comment.  The proposition "delta" is rejected unless
     ``allow_delta`` is set (for re-reading deadlock-extension output).
     """
-    states, labelling, edges = [], {}, []
-    saw_delta = False
-    for i, tokens in _lines(text):
-        if tokens[0] == "state":
-            sid, props = _parse_state_with_props(tokens, i)
-            if sid in labelling:
-                raise FormatError(f"duplicate state {sid!r}", i)
-            if DELTA_PROP in props:
-                if not allow_delta:
-                    raise FormatError(
-                        f"proposition {DELTA_PROP!r} is reserved", i)
-                saw_delta = True
-            states.append(sid)
-            labelling[sid] = props
-        elif tokens[0] == "edge":
-            if len(tokens) != 3:
-                raise FormatError("expected: edge <src> <dst>", i)
-            src, dst = _check_id(tokens[1], i), _check_id(tokens[2], i)
-            for endpoint in (src, dst):
-                if endpoint not in labelling:
-                    raise FormatError(f"undeclared state {endpoint!r}", i)
-            edges.append((src, dst))
-        else:
-            raise FormatError(f"unknown directive {tokens[0]!r}", i)
-    return KripkeStructure(tuple(states), labelling, tuple(edges),
-                           delta_extended=saw_delta)
+    states, labelling, edges, saw_delta = _parse(
+        text, "edge <src> <dst>", True, allow_delta)
+    return KripkeStructure(states, labelling, edges, delta_extended=saw_delta)
 
 
 def parse_lts(text: str) -> Lts:
     """Parse the LTS format: ``state <id>`` and ``trans <src> <action> <dst>``."""
-    states, trans = [], []
-    declared = set()
-    for i, tokens in _lines(text):
-        if tokens[0] == "state":
-            if len(tokens) != 2:
-                raise FormatError("expected: state <id>", i)
-            sid = _check_id(tokens[1], i)
-            if sid in declared:
-                raise FormatError(f"duplicate state {sid!r}", i)
-            declared.add(sid)
-            states.append(sid)
-        elif tokens[0] == "trans":
-            if len(tokens) != 4:
-                raise FormatError("expected: trans <src> <action> <dst>", i)
-            src = _check_id(tokens[1], i)
-            act = _check_id(tokens[2], i)
-            dst = _check_id(tokens[3], i)
-            for endpoint in (src, dst):
-                if endpoint not in declared:
-                    raise FormatError(f"undeclared state {endpoint!r}", i)
-            trans.append((src, act, dst))
-        else:
-            raise FormatError(f"unknown directive {tokens[0]!r}", i)
-    return Lts(tuple(states), (TAU,), tuple(trans))
+    states, _, trans, _ = _parse(text, "trans <src> <action> <dst>", False)
+    return Lts(states, (TAU,), trans)
 
 
 def parse_l2ts(text: str, allow_delta: bool = False) -> DoublyLabelledTS:
     """Parse the doubly labelled format: labelled states plus ``trans`` lines."""
-    states, labelling, trans = [], {}, []
-    saw_delta = False
-    for i, tokens in _lines(text):
-        if tokens[0] == "state":
-            sid, props = _parse_state_with_props(tokens, i)
-            if sid in labelling:
-                raise FormatError(f"duplicate state {sid!r}", i)
-            if DELTA_PROP in props:
-                if not allow_delta:
-                    raise FormatError(
-                        f"proposition {DELTA_PROP!r} is reserved", i)
-                saw_delta = True
-            states.append(sid)
-            labelling[sid] = props
-        elif tokens[0] == "trans":
-            if len(tokens) != 4:
-                raise FormatError("expected: trans <src> <action> <dst>", i)
-            src = _check_id(tokens[1], i)
-            act = _check_id(tokens[2], i)
-            dst = _check_id(tokens[3], i)
-            for endpoint in (src, dst):
-                if endpoint not in labelling:
-                    raise FormatError(f"undeclared state {endpoint!r}", i)
-            trans.append((src, act, dst))
-        else:
-            raise FormatError(f"unknown directive {tokens[0]!r}", i)
-    return DoublyLabelledTS(tuple(states), labelling, tuple(trans),
-                            delta_extended=saw_delta)
+    states, labelling, trans, saw_delta = _parse(
+        text, "trans <src> <action> <dst>", True, allow_delta)
+    return DoublyLabelledTS(states, labelling, trans, delta_extended=saw_delta)
 
 
 def _sanitize_ids(states):
@@ -338,36 +329,35 @@ def _sanitize_ids(states):
     return mapping
 
 
-def render_ks(k: KripkeStructure) -> str:
-    ids = _sanitize_ids(k.states)
+def _render(g):
+    """Text form: labelled or plain state lines, then an ``edge`` line per
+    Kripke transition or a ``trans`` line per action transition."""
+    ids = _sanitize_ids(g.states)
+    labelling = getattr(g, "labelling", None)
     out = []
-    for s in k.states:
-        props = " ".join(sorted(k.labelling[s]))
+    for s in g.states:
+        if labelling is None:
+            out.append(f"state {ids[s]}")
+            continue
+        props = " ".join(sorted(labelling[s]))
         out.append(f"state {ids[s]} {{ {props} }}" if props
                    else f"state {ids[s]} {{}}")
-    for (u, v) in k.transitions:
-        out.append(f"edge {ids[u]} {ids[v]}")
+    out += [f"edge {ids[t[0]]} {ids[t[1]]}" if len(t) == 2
+            else f"trans {ids[t[0]]} {t[1]} {ids[t[2]]}"
+            for t in g.transitions]
     return "\n".join(out) + "\n"
+
+
+def render_ks(k: KripkeStructure) -> str:
+    return _render(k)
 
 
 def render_lts(l: Lts) -> str:
-    ids = _sanitize_ids(l.states)
-    out = [f"state {ids[s]}" for s in l.states]
-    for (u, a, v) in l.transitions:
-        out.append(f"trans {ids[u]} {a} {ids[v]}")
-    return "\n".join(out) + "\n"
+    return _render(l)
 
 
 def render_l2ts(d: DoublyLabelledTS) -> str:
-    ids = _sanitize_ids(d.states)
-    out = []
-    for s in d.states:
-        props = " ".join(sorted(d.labelling[s]))
-        out.append(f"state {ids[s]} {{ {props} }}" if props
-                   else f"state {ids[s]} {{}}")
-    for (u, a, v) in d.transitions:
-        out.append(f"trans {ids[u]} {a} {ids[v]}")
-    return "\n".join(out) + "\n"
+    return _render(d)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +403,7 @@ def check_consistency(d: DoublyLabelledTS) -> ConsistencyReport:
 
 def deadlock_states(g) -> set:
     """States with no outgoing transition at all."""
-    has_out = set()
-    if isinstance(g, KripkeStructure):
-        for (u, _) in g.transitions:
-            has_out.add(u)
-    else:
-        for (u, _, _) in g.transitions:
-            has_out.add(u)
-    return {s for s in g.states if s not in has_out}
+    return set(g.adjacency.deadlocks)
 
 
 def fresh_name(base: str, taken) -> str:

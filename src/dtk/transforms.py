@@ -19,7 +19,6 @@ from .structures import (
     Lts,
     StructureError,
     TAU,
-    deadlock_states,
     fresh_name,
 )
 
@@ -87,9 +86,7 @@ def deadlock_extension(k: KripkeStructure):
     states = tuple(k.states) + (sink,)
     labelling = dict(k.labelling)
     labelling[sink] = {DELTA_PROP}
-    edges = list(k.transitions)
-    for d in sorted(deadlock_states(k), key=list(k.states).index):
-        edges.append((d, sink))
+    edges = list(k.transitions) + [(d, sink) for d in k.adjacency.deadlocks]
     edges.append((sink, sink))
     return (KripkeStructure(states, labelling, tuple(edges),
                             delta_extended=True), sink)
@@ -99,7 +96,7 @@ def totalize_deadlock_selfloops(k: KripkeStructure) -> KripkeStructure:
     """Add a self-loop to every deadlock state.  Maximal-path validity of
     infinity-free formulas is unchanged."""
     edges = tuple(k.transitions) + tuple(
-        (d, d) for d in sorted(deadlock_states(k), key=list(k.states).index))
+        (d, d) for d in k.adjacency.deadlocks)
     return KripkeStructure(k.states, dict(k.labelling), edges,
                            delta_extended=k.delta_extended)
 

@@ -226,6 +226,23 @@ def test_unknown_state_exits_2(capsys, merge_lts):
     assert code == 2 and "error" in err
 
 
+def test_internal_errors_exit_2(capsys, stutter_ks, tmp_path):
+    # both inputs overflow Python's recursion limit; a crash must not
+    # read as a verdict (exit 1)
+    code, _, err = run(capsys, "model-check", "--model", stutter_ks,
+                       "--formula", "~" * 3000 + "p", "--state", "s")
+    assert code == 2
+    assert err.strip() == "error: internal error: RecursionError"
+    n = 3000
+    chain = tmp_path / "chain.lts"
+    chain.write_text("".join(f"state h{i}\n" for i in range(n)) + "".join(
+        f"trans h{i} tau h{i + 1}\n" for i in range(n - 1)))
+    code, _, err = run(capsys, "traces", "--model", str(chain),
+                       "--kind", "lts", "--state", "h0", "--bound", "4")
+    assert code == 2
+    assert err.strip() == "error: internal error: RecursionError"
+
+
 def test_ks2l2ts_round_trip_via_files(capsys, stutter_ks, tmp_path):
     out_path = tmp_path / "enc.l2ts"
     code, _, _ = run(capsys, "transform", "--op", "ks2l2ts",

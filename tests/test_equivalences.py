@@ -8,7 +8,6 @@ from dtk.equivalences import (
     EquivVariant,
     Partition,
     check_colouring,
-    check_colouring_lts,
     coarsest_partition_ks,
     coarsest_partition_lts,
     divergent_states,
@@ -83,16 +82,16 @@ def test_example_colouring_consistent_but_not_fully():
     l = figures.branching_example_lts()
     colouring = Partition.from_blocks(
         [list("stuv"), list("xyz")], l.states)
-    assert check_colouring_lts(l, colouring, DB)
+    assert check_colouring(l, colouring, DB)
     # t can stay silent forever inside its block, u cannot complete there
-    assert not check_colouring_lts(l, colouring, DS)
+    assert not check_colouring(l, colouring, DS)
 
 
 def test_discrete_partition_valid_for_all_variants():
     l = figures.branching_example_lts()
     discrete = Partition.from_blocks([[s] for s in l.states], l.states)
     for v in ALL_VARIANTS:
-        assert check_colouring_lts(l, discrete, v)
+        assert check_colouring(l, discrete, v)
 
 
 def test_check_colouring_rejects_label_mixing_on_ks():

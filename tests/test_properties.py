@@ -1,0 +1,96 @@
+"""Property tests: text round trips and the adjacency index."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtk.structures import (
+    DoublyLabelledTS,
+    KripkeStructure,
+    Lts,
+    TAU,
+    deadlock_states,
+    parse_ks,
+    parse_l2ts,
+    parse_lts,
+    render_ks,
+    render_l2ts,
+    render_lts,
+)
+
+IDS = ("a", "b", "s0", "s_1", "x.y", "Z9", "m.a.b", "t")
+PROPS = ("p", "q", "r_1", "x.y")
+ACTIONS = (TAU, "a", "b", "go.1")
+
+
+@st.composite
+def structures(draw, kind):
+    states = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=6,
+                           unique=True))
+    state = st.sampled_from(states)
+    if kind == "ks":
+        step = st.tuples(state, state)
+    else:
+        step = st.tuples(state, st.sampled_from(ACTIONS), state)
+    transitions = tuple(draw(st.lists(step, max_size=12)))
+    if kind == "lts":
+        return Lts(tuple(states), (TAU,), transitions)
+    labelling = {s: draw(st.frozensets(st.sampled_from(PROPS)))
+                 for s in states}
+    cls = KripkeStructure if kind == "ks" else DoublyLabelledTS
+    return cls(tuple(states), labelling, transitions)
+
+
+ANY_STRUCTURE = st.one_of(structures("ks"), structures("lts"),
+                          structures("l2ts"))
+
+
+def _triples(g):
+    return [(t[0], None, t[1]) if len(t) == 2 else t for t in g.transitions]
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("ks"))
+def test_ks_text_round_trip(k):
+    back = parse_ks(render_ks(k))
+    assert (back.states, back.labelling, back.transitions) == (
+        k.states, k.labelling, k.transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("lts"))
+def test_lts_text_round_trip(l):
+    back = parse_lts(render_lts(l))
+    assert (back.states, back.transitions) == (l.states, l.transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("l2ts"))
+def test_l2ts_text_round_trip(d):
+    back = parse_l2ts(render_l2ts(d))
+    assert (back.states, back.labelling, back.transitions) == (
+        d.states, d.labelling, d.transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_STRUCTURE)
+def test_adjacency_index_agrees_with_transitions(g):
+    adj = g.adjacency
+    steps = _triples(g)
+    for s in g.states:
+        assert adj.succ[s] == [(a, v) for (u, a, v) in steps if u == s]
+        assert adj.pred[s] == [(a, u) for (u, a, v) in steps if v == s]
+    sources = {u for (u, _, _) in steps}
+    assert adj.deadlocks == tuple(s for s in g.states if s not in sources)
+    assert deadlock_states(g) == set(adj.deadlocks)
+    assert g.adjacency is adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(structures("ks"), structures("lts")))
+def test_successors_read_the_index(g):
+    for s in g.states:
+        if isinstance(g, KripkeStructure):
+            assert g.successors(s) == [v for (u, v) in g.transitions if u == s]
+        else:
+            assert g.successors(s) == [
+                (a, v) for (u, a, v) in g.transitions if u == s]

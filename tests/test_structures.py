@@ -176,11 +176,25 @@ def test_structure_rejects_stray_endpoints():
         Lts(("a",), (TAU,), (("a", TAU, "b"),))
 
 
+def test_structure_rejects_wrong_transition_arity():
+    with pytest.raises(ValueError):
+        KripkeStructure(("a",), {"a": set()}, (("a", "x", "a"),))
+    with pytest.raises(ValueError):
+        DoublyLabelledTS(("a",), {"a": set()}, (("a", "a"),))
+
+
 def test_delta_label_needs_flag():
     with pytest.raises(StructureError):
         KripkeStructure(("a",), {"a": {"delta"}}, ())
     k = KripkeStructure(("a",), {"a": {"delta"}}, (), delta_extended=True)
     assert k.labelling["a"] == frozenset({"delta"})
+
+
+def test_labelled_structures_reject_empty_proposition():
+    for cls in (KripkeStructure, DoublyLabelledTS):
+        with pytest.raises(StructureError,
+                           match=r"^bad proposition '' on state a$"):
+            cls(("a",), {"a": {""}}, ())
 
 
 def test_associated_projections_on_consistent_example():
