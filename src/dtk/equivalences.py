@@ -12,6 +12,19 @@ run of inert steps inside the state's own block:
 Depending on the variant the signature also carries an in-block
 divergence bit (an infinite inert run exists) and/or an in-block
 completion bit (an inert run reaches a deadlock state or diverges).
+
+A round does not explore each state's inert closure separately.  One
+Tarjan pass over the inert graph finds its strongly connected
+components, which never cross a block, and finishes each component
+after every component it reaches.  A component's observations are its
+members' non-inert steps plus the observations of the components its
+inert steps enter; it diverges when it has an internal inert step (a
+cycle or a self-loop) or enters a divergent component, and it can
+complete when it diverges, holds a deadlock state or enters a
+component that can complete.  All members share one signature.  A
+round visits each state and transition a bounded number of times, plus
+one set union per inert step between components.
+
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.
@@ -22,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import backward_reach, tarjan_cycle_states
+from .graphs import strongly_connected_components
 from .structures import KripkeStructure, Lts, TAU
 
 
@@ -119,14 +132,6 @@ def _labels(g):
 _SILENT = frozenset((None, TAU))
 
 
-def _inert_reach(g, block, targets=()):
-    """States of ``block`` with an infinite inert run inside it, or an
-    inert run inside it that reaches ``targets``."""
-    adj = g.adjacency
-    cyc = tarjan_cycle_states(block, adj.succ, _SILENT)
-    return backward_reach(cyc | set(targets), adj.pred, block, _SILENT)
-
-
 @dataclass(frozen=True)
 class Signature:
     """One refinement-round summary of a state."""
@@ -137,35 +142,50 @@ class Signature:
 
 
 def _signatures(g, part, variant):
-    """Per-state signatures over the given partition."""
+    """Per-state signatures over the given partition, from one pass over
+    the strongly connected components of the inert graph."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
     succ = g.adjacency.succ
     block_of = part.block_of
+
+    def inert(u):
+        own = block_of[u]
+        return [v for (a, v) in succ[u] if a in _SILENT and block_of[v] == own]
+
+    summary = {}   # state -> (observations, divergent, completable) of its SCC
     sigs = {}
-    for block in part.blocks:
-        div_set = _inert_reach(g, block) if need_div else None
-        comp_set = (_inert_reach(g, block, [s for s in block if not succ[s]])
-                    if need_comp else None)
-        for s in block:
-            own = block_of[s]
-            seen = {s}
-            frontier = [s]
-            obs = set()
-            while frontier:
-                u = frontier.pop()
-                for (a, v) in succ[u]:
-                    if a in _SILENT and block_of[v] == own:
-                        if v not in seen:
-                            seen.add(v)
-                            frontier.append(v)
+    for scc in strongly_connected_components(g.states, inert):
+        obs = set()
+        largest = frozenset()   # the largest observation set taken over
+        div = comp = False
+        own = block_of[scc[0]]   # inert steps never leave a block
+        for u in scc:
+            steps = succ[u]
+            if not steps:
+                comp = True
+            for (a, v) in steps:
+                if a in _SILENT and block_of[v] == own:
+                    below = summary.get(v)
+                    if below is None:   # v is in this SCC: an inert cycle
+                        div = True
                     else:
-                        obs.add((a, block_of[v]))
-            sigs[s] = Signature(
-                frozenset(obs),
-                (s in div_set) if need_div else None,
-                (s in comp_set) if need_comp else None,
-            )
+                        if len(below[0]) > len(largest):
+                            largest = below[0]
+                        obs |= below[0]
+                        div = div or below[1]
+                        comp = comp or below[2]
+                else:
+                    obs.add((a, block_of[v]))
+        comp = comp or div
+        # ``largest`` is a subset of ``obs``; reuse it when they are equal
+        obs = largest if len(obs) == len(largest) else frozenset(obs)
+        sig = Signature(obs, div if need_div else None,
+                        comp if need_comp else None)
+        rec = (obs, div, comp)
+        for u in scc:
+            summary[u] = rec
+            sigs[u] = sig
     return sigs
 
 
@@ -179,8 +199,8 @@ def _initial_partition(g) -> Partition:
     return Partition.from_blocks(groups.values(), g.states)
 
 
-def refinement_history(g, variant: EquivVariant):
-    """All refinement rounds as (partition, signatures) pairs.
+def _rounds(g, variant: EquivVariant):
+    """Yield the refinement rounds as (partition, signatures) pairs.
 
     The first entry is the initial partition with no signatures; each
     later entry holds the signatures (computed over the previous
@@ -190,7 +210,7 @@ def refinement_history(g, variant: EquivVariant):
     states = g.states
     order = {s: i for i, s in enumerate(states)}
     part = _initial_partition(g)
-    history = [(part, None)]
+    yield part, None
     while True:
         sigs = _signatures(g, part, variant)
         new_blocks = []
@@ -201,22 +221,35 @@ def refinement_history(g, variant: EquivVariant):
             new_blocks.extend(buckets.values())
         new_part = Partition.from_blocks(new_blocks, states)
         if len(new_part) == len(part):
-            return history
-        history.append((new_part, sigs))
+            return
+        yield new_part, sigs
         part = new_part
+
+
+def refinement_history(g, variant: EquivVariant):
+    """All refinement rounds as (partition, signatures) pairs, as
+    ``distinguish`` reads them; see ``_rounds``."""
+    return list(_rounds(g, variant))
+
+
+def _coarsest(g, variant: EquivVariant) -> Partition:
+    """The last partition of the refinement, keeping one round at a time."""
+    for part, _ in _rounds(g, variant):
+        pass
+    return part
 
 
 def coarsest_partition_lts(l: Lts, variant: EquivVariant) -> Partition:
     """Coarsest partition whose colouring is consistent (all variants),
     divergence preserving (explicit divergence) or fully consistent
     (divergence sensitive)."""
-    return refinement_history(l, variant)[-1][0]
+    return _coarsest(l, variant)
 
 
 def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partition:
     """As for LTSs, but colourings must also respect the labelling; the
     refinement starts from the label classes."""
-    return refinement_history(k, variant)[-1][0]
+    return _coarsest(k, variant)
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
@@ -298,10 +331,8 @@ def divergent_states(g, p: Partition) -> set:
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
-    result = set()
-    for block in p.blocks:
-        result |= _inert_reach(g, block)
-    return result
+    sigs = _signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
+    return {s for s, sig in sigs.items() if sig.divergent}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

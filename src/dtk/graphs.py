@@ -1,76 +1,86 @@
 """Internal graph helpers shared by the equivalence and logic engines.
 
-Both walk the subgraph induced by a node set, over the ``(action,
-node)`` lists of a structure's adjacency index, following only steps
-whose action is in ``actions`` (every step when it is None).
+The walks run over the ``(action, node)`` lists of a structure's
+adjacency index, restricted to the subgraph induced by a node set.
 """
 
 from __future__ import annotations
 
 
-def tarjan_cycle_states(nodes, succ, actions=None) -> set:
-    """States of ``nodes`` on a nontrivial cycle (or with a self-loop) of
-    the induced subgraph.  Iterative Tarjan; ``succ`` maps a node to its
-    ``(action, target)`` pairs.
+def strongly_connected_components(nodes, follow):
+    """Yield the strongly connected components of the graph on ``nodes``
+    whose edges from ``v`` are the nodes in ``follow(v)``, each as a list.
+
+    Iterative Tarjan: a component is yielded only after every component
+    it reaches, so a consumer can fold results successors-first.  The
+    members of a yielded component get an index above every real one,
+    so an edge into it never lowers a link value.
     """
     index = {}
     low = {}
-    on_stack = set()
     stack = []
-    cyc = set()
+    done = len(nodes)
     for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(succ[root]))]
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(follow(root)))]
         while work:
             v, it = work[-1]
-            advanced = False
-            for (a, w) in it:
-                if w not in nodes or (actions is not None and a not in actions):
-                    continue
-                if w == v:
-                    cyc.add(v)
+            for w in it:
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+                    work.append((w, iter(follow(w))))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                if len(scc) > 1:
-                    cyc.update(scc)
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        scc.append(w)
+                        if w == v:
+                            break
+                    yield scc
+
+
+def tarjan_cycle_states(nodes, succ) -> set:
+    """States of ``nodes`` on a nontrivial cycle (or with a self-loop) of
+    the induced subgraph; ``succ`` maps a node to its ``(action,
+    target)`` pairs."""
+    loops = set()
+
+    def follow(v):
+        out = [w for (_, w) in succ[v] if w in nodes]
+        if v in out:
+            loops.add(v)
+        return out
+
+    cyc = set()
+    for scc in strongly_connected_components(nodes, follow):
+        if len(scc) > 1 or scc[0] in loops:
+            cyc.update(scc)
     return cyc
 
 
-def backward_reach(targets, pred, inside, actions=None) -> set:
+def backward_reach(targets, pred, inside) -> set:
     """``targets`` plus the states of ``inside`` that reach them inside
     ``inside``; ``pred`` maps a node to its ``(action, source)`` pairs."""
     seen = set(targets)
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for (a, u) in pred[v]:
-            if (u in inside and u not in seen
-                    and (actions is None or a in actions)):
+        for (_, u) in pred[v]:
+            if u in inside and u not in seen:
                 seen.add(u)
                 frontier.append(u)
     return seen

@@ -385,20 +385,35 @@ def check_consistency(d: DoublyLabelledTS) -> ConsistencyReport:
     Every violated condition is reported with witness transitions.
     """
     lab = d.labelling
+    trans = d.transitions
     violations = []
-    for t in d.transitions:
+    # (ii) groups by action and source label, keyed further by target
+    # label; (iii) groups by source and target label, keyed by action
+    by_action = {}
+    by_labels = {}
+    for i, t in enumerate(trans):
         (s, a, v) = t
         if (lab[s] == lab[v]) != (a == TAU):
             violations.append(("i", (t,)))
-    trans = list(d.transitions)
-    for i, t1 in enumerate(trans):
-        for t2 in trans[i + 1:]:
-            (s1, a1, v1), (s2, a2, v2) = t1, t2
-            if a1 == a2 and lab[s1] == lab[s2] and lab[v1] != lab[v2]:
-                violations.append(("ii", (t1, t2)))
-            if lab[s1] == lab[s2] and lab[v1] == lab[v2] and a1 != a2:
-                violations.append(("iii", (t1, t2)))
+        by_action.setdefault((a, lab[s]), {}).setdefault(lab[v], []).append(i)
+        by_labels.setdefault((lab[s], lab[v]), {}).setdefault(a, []).append(i)
+    pairs = [(i, j, "ii") for (i, j) in _split_pairs(by_action)]
+    pairs += [(i, j, "iii") for (i, j) in _split_pairs(by_labels)]
+    pairs.sort()
+    violations += [(kind, (trans[i], trans[j])) for (i, j, kind) in pairs]
     return ConsistencyReport(not violations, tuple(violations))
+
+
+def _split_pairs(groups):
+    """Index pairs ``(i, j)``, ``i < j``, that share a group but not a
+    subgroup; ``groups`` maps a key to a dict of index lists."""
+    for sub in groups.values():
+        parts = list(sub.values())
+        for x, left in enumerate(parts):
+            for right in parts[x + 1:]:
+                for i in left:
+                    for j in right:
+                        yield (i, j) if i < j else (j, i)
 
 
 def deadlock_states(g) -> set:

@@ -1,13 +1,23 @@
-"""Property tests: text round trips and the adjacency index."""
+"""Property tests: text round trips, the adjacency index, refinement
+against the brute-force oracle and the consistency check against a
+pairwise reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtk.equivalences import (
+    ORACLE_STATE_BOUND,
+    EquivVariant,
+    coarsest_partition_ks,
+    coarsest_partition_lts,
+    oracle_coarsest_partition,
+)
 from dtk.structures import (
     DoublyLabelledTS,
     KripkeStructure,
     Lts,
     TAU,
+    check_consistency,
     deadlock_states,
     parse_ks,
     parse_l2ts,
@@ -23,9 +33,9 @@ ACTIONS = (TAU, "a", "b", "go.1")
 
 
 @st.composite
-def structures(draw, kind):
-    states = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=6,
-                           unique=True))
+def structures(draw, kind, max_states=6, props=PROPS):
+    states = draw(st.lists(st.sampled_from(IDS), min_size=1,
+                           max_size=max_states, unique=True))
     state = st.sampled_from(states)
     if kind == "ks":
         step = st.tuples(state, state)
@@ -34,7 +44,7 @@ def structures(draw, kind):
     transitions = tuple(draw(st.lists(step, max_size=12)))
     if kind == "lts":
         return Lts(tuple(states), (TAU,), transitions)
-    labelling = {s: draw(st.frozensets(st.sampled_from(PROPS)))
+    labelling = {s: draw(st.frozensets(st.sampled_from(props)))
                  for s in states}
     cls = KripkeStructure if kind == "ks" else DoublyLabelledTS
     return cls(tuple(states), labelling, transitions)
@@ -94,3 +104,45 @@ def test_successors_read_the_index(g):
         else:
             assert g.successors(s) == [
                 (a, v) for (u, a, v) in g.transitions if u == s]
+
+
+VARIANTS = st.sampled_from(list(EquivVariant))
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures("lts", max_states=ORACLE_STATE_BOUND), VARIANTS)
+def test_lts_refinement_matches_oracle(l, variant):
+    assert coarsest_partition_lts(l, variant) == oracle_coarsest_partition(
+        l, variant)
+
+
+@settings(max_examples=30, deadline=None)
+@given(structures("ks", max_states=ORACLE_STATE_BOUND, props=("p", "q")),
+       VARIANTS)
+def test_ks_refinement_matches_oracle(k, variant):
+    assert coarsest_partition_ks(k, variant) == oracle_coarsest_partition(
+        k, variant)
+
+
+def _pairwise_consistency(d):
+    """Reference for ``check_consistency``: compare every pair."""
+    lab = d.labelling
+    violations = [("i", (t,)) for t in d.transitions
+                  if (lab[t[0]] == lab[t[2]]) != (t[1] == TAU)]
+    trans = list(d.transitions)
+    for i, (s1, a1, v1) in enumerate(trans):
+        for (s2, a2, v2) in trans[i + 1:]:
+            if a1 == a2 and lab[s1] == lab[s2] and lab[v1] != lab[v2]:
+                violations.append(("ii", ((s1, a1, v1), (s2, a2, v2))))
+            if lab[s1] == lab[s2] and lab[v1] == lab[v2] and a1 != a2:
+                violations.append(("iii", ((s1, a1, v1), (s2, a2, v2))))
+    return tuple(violations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(structures("l2ts"), structures("l2ts", props=("p",))))
+def test_check_consistency_matches_pairwise(d):
+    report = check_consistency(d)
+    expected = _pairwise_consistency(d)
+    assert report.violations == expected
+    assert report.consistent == (not expected)

@@ -1,0 +1,194 @@
+"""The refinement engine against direct references kept here.
+
+``_bfs_signatures`` computes each state's signature the naive way, with
+one breadth-first search of its inert closure per state; every round of
+``refinement_history`` must match it field for field.  The scale test
+refines a 2000-state LTS and compares the divergence-blind result with
+a refinement whose observation sets are a plain least fixpoint.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtk.equivalences import (
+    EquivVariant,
+    Partition,
+    coarsest_partition_lts,
+    divergent_states,
+    meet,
+    refinement_history,
+)
+from dtk.structures import KripkeStructure, Lts, TAU
+
+DB = EquivVariant.DIVERGENCE_BLIND
+DS = EquivVariant.DIVERGENCE_SENSITIVE
+ED = EquivVariant.EXPLICIT_DIVERGENCE
+
+SILENT = (None, TAU)
+
+
+def _steps(g):
+    """Per-state ``(action, target)`` lists built from the transitions."""
+    succ = {s: [] for s in g.states}
+    for t in g.transitions:
+        (u, a, v) = (t[0], None, t[1]) if len(t) == 2 else t
+        succ[u].append((a, v))
+    return succ
+
+
+def _bfs_signatures(g, part, variant):
+    """Per-state (observations, divergent, completable), one BFS each."""
+    succ = _steps(g)
+    block_of = part.block_of
+
+    def inert(u):
+        return [v for (a, v) in succ[u]
+                if a in SILENT and block_of[v] == block_of[u]]
+
+    def closure(s):
+        seen, frontier = {s}, [s]
+        while frontier:
+            for v in inert(frontier.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    out = {}
+    for s in g.states:
+        reach = closure(s)
+        obs = {(a, block_of[v]) for u in reach for (a, v) in succ[u]
+               if not (a in SILENT and block_of[v] == block_of[u])}
+        on_cycle = any(u in closure(w) for u in reach for w in inert(u))
+        completable = on_cycle or any(not succ[u] for u in reach)
+        out[s] = (frozenset(obs),
+                  on_cycle if variant is ED else None,
+                  completable if variant is DS else None)
+    return out
+
+
+def _initial(g):
+    if isinstance(g, KripkeStructure):
+        groups = {}
+        for s in g.states:
+            groups.setdefault(g.labelling[s], []).append(s)
+        return Partition.from_blocks(groups.values(), g.states)
+    return Partition.from_blocks([g.states], g.states)
+
+
+def _reference_history(g, variant):
+    part = _initial(g)
+    history = [(part, None)]
+    while True:
+        sigs = _bfs_signatures(g, part, variant)
+        groups = {}
+        for s in g.states:
+            groups.setdefault((part.block_of[s], sigs[s]), []).append(s)
+        new = Partition.from_blocks(groups.values(), g.states)
+        if len(new) == len(part):
+            return history
+        history.append((new, sigs))
+        part = new
+
+
+@st.composite
+def inert_graphs(draw, kind):
+    """About 40 states with silent cycles, self-loops and deadlocks."""
+    n = draw(st.integers(30, 45))
+    states = tuple(f"s{i}" for i in range(n))
+    near = st.integers(-4, 4)   # short hops make cycles likely
+    transitions = []
+    for i, s in enumerate(states):
+        shape = draw(st.sampled_from(("dead", "loop", "step", "step")))
+        if shape == "dead":
+            continue
+        if shape == "loop":
+            transitions.append((s, TAU, s))
+        for _ in range(draw(st.integers(1, 3))):
+            a = draw(st.sampled_from((TAU, TAU, "a", "b")))
+            transitions.append((s, a, states[(i + draw(near)) % n]))
+    if kind == "lts":
+        return Lts(states, (TAU,), tuple(transitions))
+    labelling = {s: draw(st.sampled_from((frozenset(), frozenset({"p"}))))
+                 for s in states}
+    return KripkeStructure(states, labelling,
+                           tuple((u, v) for (u, _, v) in transitions))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(inert_graphs("lts"), inert_graphs("ks")),
+       st.sampled_from(list(EquivVariant)))
+def test_every_round_matches_per_state_bfs(g, variant):
+    history = refinement_history(g, variant)
+    expected = _reference_history(g, variant)
+    assert [p for (p, _) in history] == [p for (p, _) in expected]
+    for (_, sigs), (_, ref) in zip(history[1:], expected[1:]):
+        assert {s: (x.observations, x.divergent, x.completable)
+                for s, x in sigs.items()} == ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(inert_graphs("lts"))
+def test_divergent_states_match_per_state_bfs(l):
+    p = refinement_history(l, DB)[-1][0]
+    ref = _bfs_signatures(l, p, ED)
+    assert divergent_states(l, p) == {s for s in l.states if ref[s][1]}
+
+
+def _fixpoint_refinement(l):
+    """Divergence-blind refinement of an LTS whose observation sets are
+    the least solution of obs(s) = own(s) | obs(t) over inert s -> t,
+    found by sweeping all states until nothing changes."""
+    index = {s: i for i, s in enumerate(l.states)}
+    steps = [[] for _ in l.states]
+    for (u, a, v) in l.transitions:
+        steps[index[u]].append((a == TAU, a, index[v]))
+    block = [0] * len(steps)
+    while True:
+        bits = {}
+        own = [0] * len(steps)
+        inert = [[] for _ in steps]
+        for u, out in enumerate(steps):
+            for (silent, a, v) in out:
+                if silent and block[v] == block[u]:
+                    inert[u].append(v)
+                else:
+                    own[u] |= 1 << bits.setdefault((a, block[v]), len(bits))
+        obs = list(own)
+        changed = True
+        while changed:
+            changed = False
+            for u in range(len(steps)):
+                new = obs[u]
+                for v in inert[u]:
+                    new |= obs[v]
+                if new != obs[u]:
+                    obs[u] = new
+                    changed = True
+        ids = {}
+        new_block = [ids.setdefault((block[u], obs[u]), len(ids))
+                     for u in range(len(steps))]
+        if len(ids) == len(set(block)):
+            groups = {}
+            for s in l.states:
+                groups.setdefault(block[index[s]], []).append(s)
+            return Partition.from_blocks(groups.values(), l.states)
+        block = new_block
+
+
+def test_refinement_scales_to_2000_states():
+    # three out-edges per state, half of them silent: the random tau-graph
+    # has a large strongly connected component that stays one block, so a
+    # per-state closure costs O(n) for most states in every round
+    rng = random.Random(7)
+    states = tuple(f"s{i}" for i in range(2000))
+    trans = tuple((u, TAU if rng.random() < 0.5 else rng.choice("ab"),
+                   rng.choice(states)) for u in states for _ in range(3))
+    l = Lts(states, (TAU,), trans)
+    db, ds, ed = (coarsest_partition_lts(l, v) for v in (DB, DS, ED))
+    assert meet(ed, ds, states) == ed
+    assert meet(ds, db, states) == ds
+    assert db == _fixpoint_refinement(l)
+    assert len(db) < len(states)
