@@ -86,6 +86,12 @@ def cmd_check_equiv(args) -> int:
     kind = args.kind
     model = _load_model(args.model, kind, allow_delta=args.allow_delta)
     variant = _VARIANTS[args.variant]
+    states = args.state or []
+    if len(states) not in (0, 2):
+        raise _Failure("--state must be given exactly twice or not at all")
+    for s in states:
+        if s not in set(model.states):
+            raise _Failure(f"unknown state {s!r}")
     if kind == "ks":
         partition = coarsest_partition_ks(model, variant)
     else:
@@ -95,13 +101,7 @@ def cmd_check_equiv(args) -> int:
         if reference != partition:
             print("oracle mismatch", file=sys.stderr)
             return 2
-    states = args.state or []
-    if len(states) not in (0, 2):
-        raise _Failure("--state must be given exactly twice or not at all")
     if states:
-        for s in states:
-            if s not in set(model.states):
-                raise _Failure(f"unknown state {s!r}")
         same = partition.same_block(states[0], states[1])
         verdict = "equivalent" if same else "distinguished"
         _emit(args, "check-equiv", {"verdict": verdict}, [verdict])
@@ -113,6 +113,8 @@ def cmd_check_equiv(args) -> int:
 
 def cmd_model_check(args) -> int:
     model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
+    if args.state is not None and args.state not in set(model.states):
+        raise _Failure(f"unknown state {args.state!r}")
     try:
         phi = logic.parse_formula(args.formula)
         satisfied = logic.sat(model, phi, _SEMANTICS[args.semantics])
@@ -120,8 +122,6 @@ def cmd_model_check(args) -> int:
         raise _Failure(str(err)) from err
     ordered = [s for s in model.states if s in satisfied]
     if args.state is not None:
-        if args.state not in set(model.states):
-            raise _Failure(f"unknown state {args.state!r}")
         truth = args.state in satisfied
         _emit(args, "model-check", {"state": args.state, "holds": truth},
               ["true" if truth else "false"])

@@ -13,25 +13,35 @@ Depending on the variant the signature also carries an in-block
 divergence bit (an infinite inert run exists) and/or an in-block
 completion bit (an inert run reaches a deadlock state or diverges).
 
-A round does not explore each state's inert closure separately.  One
-Tarjan pass over the inert graph finds its strongly connected
-components, which never cross a block, and finishes each component
-after every component it reaches.  A component's observations are its
+The signatures of one block come from one Tarjan pass over the block's
+inert graph.  Its strongly connected components are finished after
+every component they reach, so a component's observations are its
 members' non-inert steps plus the observations of the components its
 inert steps enter; it diverges when it has an internal inert step (a
 cycle or a self-loop) or enters a divergent component, and it can
 complete when it diverges, holds a deadlock state or enters a
-component that can complete.  All members share one signature.  A
-round visits each state and transition a bounded number of times, plus
-one set union per inert step between components.
+component that can complete.  All members share one signature.
 
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
-coarsest consistent colouring of the respective kind.
+coarsest consistent colouring of the respective kind.  A refinement
+numbers the states ``0..n-1`` once and works on integer successor lists
+(with a silent flag), predecessor lists, a block id per state and a
+member list per block; an observation is one integer.  The first round
+computes every block.  When a block splits, its largest piece keeps the
+block id and the other pieces move to new ids.  A later round computes
+only the dirty blocks: the pieces of a split, and the blocks that hold a
+predecessor of a moved state.  Any other block has the same steps into
+the same block ids as in the round before, so its members' signatures
+are still equal and a full round would not split it either; every
+round therefore yields the same partition as one that recomputes all
+states.  A block of one state never splits and is never computed.  The
+result is canonicalised once, at the end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,31 +151,48 @@ class Signature:
     completable: bool | None
 
 
-def _signatures(g, part, variant):
-    """Per-state signatures over the given partition, from one pass over
-    the strongly connected components of the inert graph."""
+class _IntGraph:
+    """A structure with its states numbered ``0..n-1`` in declaration
+    order: the numbering, per-state ``(silent, action id, target)`` steps,
+    per-state predecessor lists, and the actions by id."""
+
+    def __init__(self, g):
+        self.number = number = {s: i for i, s in enumerate(g.states)}
+        action_id = {}
+        adj = g.adjacency
+        self.steps = [[(a in _SILENT, action_id.setdefault(a, len(action_id)),
+                        number[v]) for (a, v) in adj.succ[s]] for s in g.states]
+        self.preds = [[number[u] for (_, u) in adj.pred[s]] for s in g.states]
+        self.actions = list(action_id)
+
+
+def _block_signatures(members, block, view, variant):
+    """Signatures of one block's members, as ``(observations, divergent,
+    completable)`` tuples keyed by state, from one Tarjan pass over the
+    block's inert graph.  An observation ``(a, block(v))`` is encoded as
+    the integer ``block(v) * len(view.actions) + a``."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
-    succ = g.adjacency.succ
-    block_of = part.block_of
+    steps = view.steps
+    width = len(view.actions)
+    own = block[members[0]]
 
     def inert(u):
-        own = block_of[u]
-        return [v for (a, v) in succ[u] if a in _SILENT and block_of[v] == own]
+        return [v for (silent, _, v) in steps[u] if silent and block[v] == own]
 
     summary = {}   # state -> (observations, divergent, completable) of its SCC
     sigs = {}
-    for scc in strongly_connected_components(g.states, inert):
+    for scc in strongly_connected_components(members, inert):
         obs = set()
         largest = frozenset()   # the largest observation set taken over
         div = comp = False
-        own = block_of[scc[0]]   # inert steps never leave a block
         for u in scc:
-            steps = succ[u]
-            if not steps:
+            out = steps[u]
+            if not out:
                 comp = True
-            for (a, v) in steps:
-                if a in _SILENT and block_of[v] == own:
+            for (silent, a, v) in out:
+                b = block[v]
+                if silent and b == own:
                     below = summary.get(v)
                     if below is None:   # v is in this SCC: an inert cycle
                         div = True
@@ -176,12 +203,11 @@ def _signatures(g, part, variant):
                         div = div or below[1]
                         comp = comp or below[2]
                 else:
-                    obs.add((a, block_of[v]))
+                    obs.add(b * width + a)
         comp = comp or div
         # ``largest`` is a subset of ``obs``; reuse it when they are equal
         obs = largest if len(obs) == len(largest) else frozenset(obs)
-        sig = Signature(obs, div if need_div else None,
-                        comp if need_comp else None)
+        sig = (obs, div if need_div else None, comp if need_comp else None)
         rec = (obs, div, comp)
         for u in scc:
             summary[u] = rec
@@ -189,54 +215,144 @@ def _signatures(g, part, variant):
     return sigs
 
 
-def _initial_partition(g) -> Partition:
+class _Signatures(Mapping):
+    """Every state's ``Signature`` over a partition, as a read-only
+    mapping.  The first lookup of a state runs the block kernel over its
+    whole block and decodes the observations to ``(action, block id)``."""
+
+    def __init__(self, g, part, variant, view=None):
+        self._states = g.states
+        self._part = part
+        self._variant = variant
+        self._view = view or _IntGraph(g)
+        self._block = [part.block_of[s] for s in g.states]
+        self._sigs = {}
+
+    def __getitem__(self, s):
+        if s not in self._sigs:
+            self._compute(self._part.blocks[self._part.block_of[s]])
+        return self._sigs[s]
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self):
+        return len(self._states)
+
+    def _compute(self, members):
+        view = self._view
+        actions = view.actions
+        width = len(actions)
+        # members of an SCC share one tuple; decode it once
+        decoded = {}
+        for u, (obs, div, comp) in _block_signatures(
+                [view.number[s] for s in members], self._block, view,
+                self._variant).items():
+            key = id(obs), div, comp
+            sig = decoded.get(key)
+            if sig is None:
+                sig = decoded[key] = Signature(
+                    frozenset((actions[c % width], c // width) for c in obs),
+                    div, comp)
+            self._sigs[self._states[u]] = sig
+
+
+def _initial_blocks(g):
+    """Per-state block ids of the coarsest admissible partition."""
     labels = _labels(g)
     if labels is None:
-        return Partition.from_blocks([list(g.states)], g.states)
+        return [0] * len(g.states)
+    ids = {}
+    return [ids.setdefault(labels[s], len(ids)) for s in g.states]
+
+
+def _partition(states, block) -> Partition:
+    """The canonical ``Partition`` of per-state block ids."""
     groups = {}
-    for s in g.states:
-        groups.setdefault(labels[s], []).append(s)
-    return Partition.from_blocks(groups.values(), g.states)
+    for s, b in zip(states, block):
+        groups.setdefault(b, []).append(s)
+    return Partition.from_blocks(groups.values(), states)
 
 
-def _rounds(g, variant: EquivVariant):
-    """Yield the refinement rounds as (partition, signatures) pairs.
+def _rounds(g, variant: EquivVariant, view=None):
+    """Yield the per-state block ids (a tuple, states in declaration
+    order) of the initial partition and of every round that split a
+    block; the last is the coarsest consistent colouring for the variant.
 
-    The first entry is the initial partition with no signatures; each
-    later entry holds the signatures (computed over the previous
-    partition) that produced it.  The last partition is the coarsest
-    consistent colouring for the variant.
+    Block ids are not canonical.  A round computes only the dirty blocks
+    of more than one member (every block in the first round), and applies
+    all splits after all of them are computed, so each round refines the
+    partition the previous one left.
     """
-    states = g.states
-    order = {s: i for i, s in enumerate(states)}
-    part = _initial_partition(g)
-    yield part, None
+    view = view or _IntGraph(g)
+    block = _initial_blocks(g)
+    members = [[] for _ in set(block)]
+    for u, b in enumerate(block):
+        members[b].append(u)
+    yield tuple(block)
+    dirty = range(len(members))
     while True:
-        sigs = _signatures(g, part, variant)
-        new_blocks = []
-        for block in part.blocks:
+        splits = []
+        for b in dirty:
+            group = members[b]
+            if len(group) < 2:   # a singleton never splits
+                continue
+            sigs = _block_signatures(group, block, view, variant)
             buckets = {}
-            for s in sorted(block, key=order.get):
-                buckets.setdefault(sigs[s], []).append(s)
-            new_blocks.extend(buckets.values())
-        new_part = Partition.from_blocks(new_blocks, states)
-        if len(new_part) == len(part):
+            for u in group:
+                buckets.setdefault(sigs[u], []).append(u)
+            if len(buckets) > 1:
+                # the largest piece keeps the block id, the others move
+                splits.append((b, sorted(buckets.values(), key=len,
+                                         reverse=True)))
+        if not splits:
             return
-        yield new_part, sigs
-        part = new_part
+        dirty = set()
+        for b, (kept, *moved) in splits:
+            members[b] = kept
+            dirty.add(b)
+            for piece in moved:
+                b = len(members)
+                members.append(piece)
+                dirty.add(b)
+                for u in piece:
+                    block[u] = b
+        # a block with a step into a moved state may split next
+        preds = view.preds
+        for _, (_, *moved) in splits:
+            for piece in moved:
+                for v in piece:
+                    for u in preds[v]:
+                        dirty.add(block[u])
+        yield tuple(block)
 
 
 def refinement_history(g, variant: EquivVariant):
     """All refinement rounds as (partition, signatures) pairs, as
-    ``distinguish`` reads them; see ``_rounds``."""
-    return list(_rounds(g, variant))
+    ``distinguish`` reads them.
+
+    The first entry is the initial partition with no signatures; each
+    later entry holds the partition a round produced and every state's
+    signature over the previous partition (block ids canonical), as a
+    mapping that computes a block's signatures when one of its states is
+    first looked up.
+    """
+    view = _IntGraph(g)
+    history = []
+    prev = None
+    for block in _rounds(g, variant, view):
+        part = _partition(g.states, block)
+        sigs = None if prev is None else _Signatures(g, prev, variant, view)
+        history.append((part, sigs))
+        prev = part
+    return history
 
 
 def _coarsest(g, variant: EquivVariant) -> Partition:
-    """The last partition of the refinement, keeping one round at a time."""
-    for part, _ in _rounds(g, variant):
+    """The last partition of the refinement, canonicalised once."""
+    for block in _rounds(g, variant):
         pass
-    return part
+    return _partition(g.states, block)
 
 
 def coarsest_partition_lts(l: Lts, variant: EquivVariant) -> Partition:
@@ -265,7 +381,7 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
             labs = {labels[s] for s in block}
             if len(labs) > 1:
                 return False
-    sigs = _signatures(g, p, variant)
+    sigs = _Signatures(g, p, variant)
     for block in p.blocks:
         if len({sigs[s] for s in block}) > 1:
             return False
@@ -331,7 +447,7 @@ def divergent_states(g, p: Partition) -> set:
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
-    sigs = _signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
+    sigs = _Signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
     return {s for s, sig in sigs.items() if sig.divergent}
 
 
@@ -340,8 +456,4 @@ def equivalent(g, s, t, variant: EquivVariant) -> bool:
     for x in (s, t):
         if x not in g.states:
             raise ValueError(f"unknown state {x!r}")
-    if isinstance(g, KripkeStructure):
-        part = coarsest_partition_ks(g, variant)
-    else:
-        part = coarsest_partition_lts(g, variant)
-    return part.same_block(s, t)
+    return _coarsest(g, variant).same_block(s, t)

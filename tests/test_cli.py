@@ -226,6 +226,17 @@ def test_unknown_state_exits_2(capsys, merge_lts):
     assert code == 2 and "error" in err
 
 
+def test_check_equiv_checks_states_before_the_oracle(capsys, tmp_path):
+    # nine states: past the oracle's bound, so a late check would report that
+    path = tmp_path / "nine.lts"
+    path.write_text("".join(f"state s{i}\n" for i in range(9)))
+    code, _, err = run(capsys, "check-equiv", "--model", str(path),
+                       "--kind", "lts", "--variant", "ed", "--oracle",
+                       "--state", "nope", "--state", "s0")
+    assert code == 2
+    assert err.strip() == "error: unknown state 'nope'"
+
+
 def test_internal_errors_exit_2(capsys, stutter_ks, tmp_path):
     # both inputs overflow Python's recursion limit; a crash must not
     # read as a verdict (exit 1)

@@ -1,6 +1,6 @@
-"""Property tests: text round trips, the adjacency index, refinement
-against the brute-force oracle and the consistency check against a
-pairwise reference."""
+"""Property tests: text round trips of structures and formulas, the
+adjacency index, refinement against the brute-force oracle and the
+consistency check against a pairwise reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +11,18 @@ from dtk.equivalences import (
     coarsest_partition_ks,
     coarsest_partition_lts,
     oracle_coarsest_partition,
+)
+from dtk.logic import (
+    _KEYWORDS,
+    TRUE,
+    And,
+    ExistsG,
+    ExistsGInf,
+    ExistsUntil,
+    Not,
+    Prop,
+    parse_formula,
+    render_formula,
 )
 from dtk.structures import (
     DoublyLabelledTS,
@@ -104,6 +116,30 @@ def test_successors_read_the_index(g):
         else:
             assert g.successors(s) == [
                 (a, v) for (u, a, v) in g.transitions if u == s]
+
+
+# names the tokenizer reads as one word, keywords excluded; some look
+# like keywords ("EGinf2", "Ux")
+PROP_NAMES = st.from_regex(r"[A-Za-z0-9_.]{1,6}", fullmatch=True).filter(
+    lambda name: name not in _KEYWORDS)
+
+# sugar-free formulas: no one-item conjunctions, which print as a
+# parenthesised conjunct and parse back as that conjunct
+FORMULAS = st.recursive(
+    st.one_of(PROP_NAMES.map(Prop), st.just(TRUE)),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=3).map(tuple).map(And),
+        st.builds(ExistsUntil, sub, sub),
+        sub.map(ExistsG),
+        sub.map(ExistsGInf)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FORMULAS)
+def test_formula_text_round_trip(phi):
+    assert parse_formula(render_formula(phi)) == phi
 
 
 VARIANTS = st.sampled_from(list(EquivVariant))

@@ -2,9 +2,12 @@
 
 ``_bfs_signatures`` computes each state's signature the naive way, with
 one breadth-first search of its inert closure per state; every round of
-``refinement_history`` must match it field for field.  The scale test
-refines a 2000-state LTS and compares the divergence-blind result with
-a refinement whose observation sets are a plain least fixpoint.
+``refinement_history`` must match it field for field.  A round of the
+engine recomputes only the blocks a split may have touched, so each of
+its rounds must also equal a round that recomputes every state.  The
+scale test refines a 2000-state LTS and compares the divergence-blind
+result with a refinement whose observation sets are a plain least
+fixpoint.
 """
 
 import random
@@ -15,6 +18,9 @@ from hypothesis import strategies as st
 from dtk.equivalences import (
     EquivVariant,
     Partition,
+    _partition,
+    _rounds,
+    coarsest_partition_ks,
     coarsest_partition_lts,
     divergent_states,
     meet,
@@ -135,6 +141,54 @@ def test_divergent_states_match_per_state_bfs(l):
     p = refinement_history(l, DB)[-1][0]
     ref = _bfs_signatures(l, p, ED)
     assert divergent_states(l, p) == {s for s in l.states if ref[s][1]}
+
+
+@st.composite
+def late_split_graphs(draw, kind):
+    """A visible chain of 5-10 steps, which splits one block per round
+    from its deadlocked end, beside a random part of mostly silent steps
+    with cycles, self-loops and deadlocks that may step into the chain.
+    The chain alternates two actions (two labels on a Kripke structure),
+    so a round's split often lands in a block the previous round left
+    whole."""
+    k = draw(st.integers(5, 10))
+    chain = [f"c{i}" for i in range(k + 1)]
+    m = draw(st.integers(8, 20))
+    rest = [f"r{i}" for i in range(m)]
+    transitions = [(chain[i], "ab"[i % 2], chain[i + 1]) for i in range(k)]
+    near = st.integers(-3, 3)
+    for i, s in enumerate(rest):
+        shape = draw(st.sampled_from(("dead", "loop", "step", "step")))
+        if shape == "dead":
+            continue
+        if shape == "loop":
+            transitions.append((s, TAU, s))
+        for _ in range(draw(st.integers(1, 2))):
+            a = draw(st.sampled_from((TAU, TAU, TAU, "a")))
+            transitions.append((s, a, rest[(i + draw(near)) % m]))
+        if draw(st.booleans()):
+            transitions.append((s, draw(st.sampled_from((TAU, "a", "b"))),
+                                draw(st.sampled_from(chain))))
+    states = tuple(chain + rest)
+    if kind == "lts":
+        return Lts(states, (TAU,), tuple(transitions))
+    labelling = {s: frozenset("pq"[i % 2]) for i, s in enumerate(chain)}
+    for s in rest:
+        labelling[s] = draw(st.sampled_from(
+            (frozenset(), frozenset("p"), frozenset("q"))))
+    return KripkeStructure(states, labelling,
+                           tuple((u, v) for (u, _, v) in transitions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(late_split_graphs("lts"), late_split_graphs("ks")),
+       st.sampled_from(list(EquivVariant)))
+def test_marked_rounds_match_full_rounds(g, variant):
+    rounds = [_partition(g.states, block) for block in _rounds(g, variant)]
+    assert rounds == [p for (p, _) in _reference_history(g, variant)]
+    coarsest = (coarsest_partition_ks if isinstance(g, KripkeStructure)
+                else coarsest_partition_lts)
+    assert coarsest(g, variant) == rounds[-1]
 
 
 def _fixpoint_refinement(l):
