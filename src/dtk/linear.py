@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .equivalences import Partition
+from .graphs import tarjan_cycle_states
 from .structures import KripkeStructure, Lts, Path, TAU
 
 OPEN = "open"
@@ -115,52 +117,74 @@ def complete_traces(g, s, colouring, bound: int):
     lasso and exploration continues into further unrollings until the
     bound cuts them off with an open-marked prefix.  Returns
     ``(trace set, exhausted)``; the set is exact iff ``exhausted``.
+
+    The search runs on an explicit stack of enter frames ``(u, steps)``
+    and leave frames, which restore ``onpath[u]``.  A configuration
+    ``(u, steps)`` whose state lies on no cycle is explored once only.
+    That is exact: if a state ``x`` on the current path were reachable
+    from ``u``, then ``x`` reaches ``u`` along the path and ``u``
+    reaches ``x``, so ``u`` would lie on a cycle.  Below a state on no
+    cycle the search therefore never reads ``onpath`` entries made above
+    it, and emits the same traces (and truncations) each time it gets
+    there.  States on a cycle keep the path semantics above.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if s not in set(g.states):
+    states = set(g.states)
+    if s not in states:
         raise ValueError(f"unknown state {s!r}")
     colour = _colouring_fn(g, colouring)
     edges = g.adjacency.succ
+    cyclic = tarjan_cycle_states(states, edges)
     is_lts = not isinstance(g, KripkeStructure)
     emitted = set()
-    open_seen = [False]
+    exhausted = True
     start = colour(s)
 
     def emit(steps, end, cycle=()):
         items = (start,) + _flatten(steps, is_lts)
         emitted.add(ColouredTrace(items, end, _flatten(cycle, is_lts)))
 
-    def explore(u, steps, onpath):
-        if u in onpath:
-            prev = onpath[u]
+    explored = set()
+    onpath = {}
+    stack = [(False, s, ())]
+    while stack:
+        leave, u, steps = stack.pop()
+        if leave:
+            # ``steps`` holds the onpath entry saved on entering ``u``
+            if steps is None:
+                del onpath[u]
+            else:
+                onpath[u] = steps
+            continue
+        if u not in cyclic:
+            if (u, steps) in explored:
+                continue
+            explored.add((u, steps))
+            if not edges[u]:
+                emit(steps, DEADLOCK)
+                continue
+        else:
+            prev = onpath.get(u)
             if prev == len(steps):
                 emit(steps, DIVERGENCE)
-                return
-            stem, cycle = _canonical_lasso(steps[:prev], steps[prev:])
-            emit(stem, LASSO, cycle)
-        if not edges[u]:
-            emit(steps, DEADLOCK)
-            return
-        saved = onpath.get(u)
-        onpath[u] = len(steps)
+                continue
+            if prev is not None:
+                stem, cycle = _canonical_lasso(steps[:prev], steps[prev:])
+                emit(stem, LASSO, cycle)
+            stack.append((True, u, prev))
+            onpath[u] = len(steps)
+        cu = colour(u)
         for (a, v) in edges[u]:
             cv = colour(v)
-            silent = (a is None) or a == TAU
-            if silent and cv == colour(u):
-                explore(v, steps, onpath)
+            if (a is None or a == TAU) and cv == cu:
+                stack.append((False, v, steps))
             elif len(steps) >= bound:
                 emit(steps, OPEN)
-                open_seen[0] = True
+                exhausted = False
             else:
-                explore(v, steps + [(a, cv)], onpath)
-        if saved is None:
-            del onpath[u]
-        else:
-            onpath[u] = saved
-
-    explore(s, [], {})
-    return emitted, not open_seen[0]
+                stack.append((False, v, steps + ((a, cv),)))
+    return emitted, exhausted
 
 
 def coloured_traces(g, s, colouring, bound: int) -> set:
@@ -351,22 +375,27 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
     paths revisiting a state beyond the lasso closure are not listed.
     """
     succ = k.adjacency.succ
+    if not succ[s]:
+        return [Path("finite", (s,))]
     out = []
-
-    def walk(path):
-        u = path[-1]
-        if not succ[u]:
-            out.append(Path("finite", tuple(path)))
-            return
-        for (_, v) in succ[u]:
-            if v in path:
-                i = path.index(v)
+    path, pos = [s], {s: 0}
+    todo = [iter(succ[s])]
+    while todo:
+        for (_, v) in todo[-1]:
+            if v in pos:
+                i = pos[v]
                 stem = tuple(path[:i]) if i > 0 else tuple(path)
                 out.append(Path("lasso", stem, tuple(path[i:])))
+            elif not succ[v]:
+                out.append(Path("finite", tuple(path) + (v,)))
             else:
-                walk(path + [v])
-
-    walk([s])
+                pos[v] = len(path)
+                path.append(v)
+                todo.append(iter(succ[v]))
+                break
+        else:
+            todo.pop()
+            del pos[path.pop()]
     return out
 
 
@@ -578,12 +607,18 @@ def _combine_ends(e1: str, e2: str) -> str:
 
 
 def _shuffles(x: tuple, y: tuple):
-    if not x:
-        return {tuple(y)}
-    if not y:
-        return {tuple(x)}
-    return ({(x[0],) + rest for rest in _shuffles(x[1:], y)}
-            | {(y[0],) + rest for rest in _shuffles(x, y[1:])})
+    """Every interleaving of ``x`` and ``y``, one per choice of the
+    positions that ``y``'s items take."""
+    out = set()
+    for ypos in combinations(range(len(x) + len(y)), len(y)):
+        word, prev = [], 0
+        for j, p in enumerate(ypos):
+            word.extend(x[prev - j:p - j])
+            word.append(y[j])
+            prev = p + 1
+        word.extend(x[prev - len(y):])
+        out.add(tuple(word))
+    return out
 
 
 def interleave_trace_sets(a, b) -> set:

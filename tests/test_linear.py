@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtk import figures
 from dtk.compose import merge
@@ -26,6 +28,9 @@ from dtk.linear import (
     PUntil,
     P_TRUE,
     TraceVariant,
+    _canonical_lasso,
+    _colouring_fn,
+    _flatten,
     coloured_traces,
     complete_traces,
     distinguish_ltl,
@@ -122,6 +127,106 @@ def test_bound_must_be_positive():
     l = Lts(("a",), (TAU,), ())
     with pytest.raises(ValueError):
         complete_traces(l, "a", "trivial", 0)
+
+
+# --- the search against a plain path search ---------------------------------
+
+def _path_search_traces(g, s, colouring, bound):
+    """Reference: a recursive search over every maximal path, which
+    consults the current path at every state (no configuration is
+    skipped)."""
+    colour = _colouring_fn(g, colouring)
+    edges = g.adjacency.succ
+    is_lts = isinstance(g, Lts)
+    emitted = set()
+    open_seen = [False]
+    start = colour(s)
+
+    def emit(steps, end, cycle=()):
+        items = (start,) + _flatten(steps, is_lts)
+        emitted.add(ColouredTrace(items, end, _flatten(cycle, is_lts)))
+
+    def explore(u, steps, onpath):
+        if u in onpath:
+            prev = onpath[u]
+            if prev == len(steps):
+                emit(steps, DIVERGENCE)
+                return
+            stem, cycle = _canonical_lasso(steps[:prev], steps[prev:])
+            emit(stem, LASSO, cycle)
+        if not edges[u]:
+            emit(steps, DEADLOCK)
+            return
+        saved = onpath.get(u)
+        onpath[u] = len(steps)
+        for (a, v) in edges[u]:
+            cv = colour(v)
+            if a in (None, TAU) and cv == colour(u):
+                explore(v, steps, onpath)
+            elif len(steps) >= bound:
+                emit(steps, OPEN)
+                open_seen[0] = True
+            else:
+                explore(v, steps + [(a, cv)], onpath)
+        if saved is None:
+            del onpath[u]
+        else:
+            onpath[u] = saved
+
+    explore(s, [], {})
+    return emitted, not open_seen[0]
+
+
+_LABELS = st.sampled_from((TAU, TAU, "a", "b"))
+
+
+@st.composite
+def trace_graphs(draw):
+    """Up to 7 states with τ-cycles, self-loops and deadlocks, or an
+    acyclic chain of diamonds; an LTS or a Kripke structure."""
+    if draw(st.booleans()):
+        states, transitions = ["d0"], []
+        for j in range(draw(st.integers(1, 3))):
+            start, left, right, join = (f"d{3 * j + k}" for k in range(4))
+            states += [left, right, join]
+            for mid in (left, right):
+                transitions += [(start, draw(_LABELS), mid),
+                                (mid, draw(_LABELS), join)]
+    else:
+        states = [f"s{i}" for i in range(draw(st.integers(1, 7)))]
+        transitions = []
+        for u in states:
+            shape = draw(st.sampled_from(("dead", "loop", "step", "step")))
+            if shape == "dead":
+                continue
+            if shape == "loop":
+                transitions.append((u, TAU, u))
+            for _ in range(draw(st.integers(1, 2))):
+                v = draw(st.sampled_from(states))
+                transitions.append((u, draw(_LABELS), v))
+    transitions = list(dict.fromkeys(transitions))
+    if draw(st.booleans()):
+        return Lts(tuple(states), (TAU,), tuple(transitions))
+    labelling = {u: draw(st.sampled_from((frozenset(), frozenset({"p"}))))
+                 for u in states}
+    return KripkeStructure(tuple(states), labelling, tuple(dict.fromkeys(
+        (u, v) for (u, _, v) in transitions)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_graphs(), st.data())
+def test_complete_traces_match_path_search(g, data):
+    s = data.draw(st.sampled_from(g.states))
+    bound = data.draw(st.integers(1, 5))
+    if isinstance(g, Lts):
+        colourings = ["trivial"] + [coarsest_partition_lts(g, v)
+                                    for v in EquivVariant]
+    else:
+        colourings = ["trivial", "labelling"] + [coarsest_partition_ks(g, v)
+                                                 for v in EquivVariant]
+    for colouring in colourings:
+        assert (complete_traces(g, s, colouring, bound)
+                == _path_search_traces(g, s, colouring, bound))
 
 
 # --- prefix property and completeness characterisation ------------------------
@@ -322,6 +427,14 @@ def test_representatives_are_valid_maximal_paths():
                 assert path_is_maximal(k, p)
 
 
+def test_representatives_of_a_long_chain():
+    n = 3000
+    states = tuple(f"k{i}" for i in range(n))
+    k = KripkeStructure(states, {s: frozenset() for s in states},
+                        tuple(zip(states, states[1:])))
+    assert maximal_path_representatives(k, "k0") == [Path("finite", states)]
+
+
 # --- linear distinguishing formulas ---------------------------------------------
 
 def test_distinguish_ltl_deadlock_vs_livelock_needs_infinity():
@@ -387,6 +500,12 @@ def test_deadlock_marker_combination():
     b = {ColouredTrace(("*",), DEADLOCK)}
     got = interleave_trace_sets(a, b)
     assert got == {ColouredTrace(("*", "a", "*"), DEADLOCK)}
+
+
+def test_long_word_shuffle():
+    got = interleave_trace_sets({("a",) * 2000}, {("b",)})
+    assert len(got) == 2001
+    assert {trace_actions(t).index("b") for t in got} == set(range(2001))
 
 
 def test_interleave_rejects_lassos():
