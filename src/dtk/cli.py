@@ -13,17 +13,11 @@ import json
 import os
 import sys
 
-from . import compose as compose_mod
-from . import linear, logic, transforms
-from .equivalences import (
-    EquivVariant,
-    coarsest_partition_ks,
-    coarsest_partition_lts,
-    oracle_coarsest_partition,
-)
+from . import compose, equivalences, linear, logic, transforms
 from .structures import (
     FormatError,
     StructureError,
+    check_consistency,
     parse_ks,
     parse_l2ts,
     parse_lts,
@@ -34,15 +28,10 @@ from .structures import (
 
 DEFAULT_TRACE_BOUND = 12
 
-_VARIANTS = {
-    "db": EquivVariant.DIVERGENCE_BLIND,
-    "ds": EquivVariant.DIVERGENCE_SENSITIVE,
-    "ed": EquivVariant.EXPLICIT_DIVERGENCE,
-}
-_SEMANTICS = {
-    "db": logic.Semantics.DIVERGENCE_BLIND,
-    "max": logic.Semantics.MAXIMAL_PATH,
-}
+# the values of equivalences.EquivVariant and logic.Semantics, which are
+# looked up when a command runs: importing the CLI loads no engine
+_VARIANTS = ("db", "ds", "ed")
+_SEMANTICS = ("db", "max")
 
 
 class _Failure(Exception):
@@ -85,7 +74,7 @@ def _partition_lines(partition):
 def cmd_check_equiv(args) -> int:
     kind = args.kind
     model = _load_model(args.model, kind, allow_delta=args.allow_delta)
-    variant = _VARIANTS[args.variant]
+    variant = equivalences.EquivVariant(args.variant)
     states = args.state or []
     if len(states) not in (0, 2):
         raise _Failure("--state must be given exactly twice or not at all")
@@ -93,11 +82,11 @@ def cmd_check_equiv(args) -> int:
         if s not in set(model.states):
             raise _Failure(f"unknown state {s!r}")
     if kind == "ks":
-        partition = coarsest_partition_ks(model, variant)
+        partition = equivalences.coarsest_partition_ks(model, variant)
     else:
-        partition = coarsest_partition_lts(model, variant)
+        partition = equivalences.coarsest_partition_lts(model, variant)
     if args.oracle:
-        reference = oracle_coarsest_partition(model, variant)
+        reference = equivalences.oracle_coarsest_partition(model, variant)
         if reference != partition:
             print("oracle mismatch", file=sys.stderr)
             return 2
@@ -115,11 +104,8 @@ def cmd_model_check(args) -> int:
     model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
     if args.state is not None and args.state not in set(model.states):
         raise _Failure(f"unknown state {args.state!r}")
-    try:
-        phi = logic.parse_formula(args.formula)
-        satisfied = logic.sat(model, phi, _SEMANTICS[args.semantics])
-    except logic.FormulaError as err:
-        raise _Failure(str(err)) from err
+    phi = logic.parse_formula(args.formula)   # FormulaError exits 2 in main
+    satisfied = logic.sat(model, phi, logic.Semantics(args.semantics))
     ordered = [s for s in model.states if s in satisfied]
     if args.state is not None:
         truth = args.state in satisfied
@@ -132,7 +118,7 @@ def cmd_model_check(args) -> int:
 
 def cmd_distinguish(args) -> int:
     model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
-    variant = _VARIANTS[args.variant]
+    variant = equivalences.EquivVariant(args.variant)
     for s in (args.state_a, args.state_b):
         if s not in set(model.states):
             raise _Failure(f"unknown state {s!r}")
@@ -173,8 +159,11 @@ def _write_output(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise _Failure(f"cannot write {path}: {err}") from err
 
 
 def _parse_file_state(spec: str):
@@ -192,7 +181,7 @@ def cmd_compose(args) -> int:
     for (l, s, origin) in ((l1, left_state, left_path), (l2, right_state, right_path)):
         if s not in set(l.states):
             raise _Failure(f"unknown state {s!r} in {origin}")
-    product, root = compose_mod.merge(l1, left_state, l2, right_state)
+    product, root = compose.merge(l1, left_state, l2, right_state)
     text = f"# root: {root}\n" + render_lts(product)
     _write_output(args.output, text)
     return 0
@@ -200,7 +189,6 @@ def cmd_compose(args) -> int:
 
 def cmd_consistency(args) -> int:
     model = _load_model(args.model, "l2ts", allow_delta=args.allow_delta)
-    from .structures import check_consistency
     report = check_consistency(model)
     if report.consistent:
         _emit(args, "consistency", {"consistent": True}, ["consistent"])
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-equiv", help="coarsest partition / state pair")
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=("lts", "ks"), required=True)
-    p.add_argument("--variant", choices=tuple(_VARIANTS), required=True)
+    p.add_argument("--variant", choices=_VARIANTS, required=True)
     p.add_argument("--state", action="append")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the exhaustive oracle")
@@ -279,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-check", help="satisfaction set or one state")
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--semantics", choices=tuple(_SEMANTICS), default="max")
+    p.add_argument("--semantics", choices=_SEMANTICS, default="max")
     p.add_argument("--state")
     common(p)
     p.set_defaults(func=cmd_model_check)
 
     p = sub.add_parser("distinguish", help="separating formula for two states")
     p.add_argument("--model", required=True)
-    p.add_argument("--variant", choices=tuple(_VARIANTS), required=True)
+    p.add_argument("--variant", choices=_VARIANTS, required=True)
     p.add_argument("--state-a", required=True)
     p.add_argument("--state-b", required=True)
     common(p)
@@ -328,10 +316,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Failure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FormatError, StructureError, logic.FormulaError, ValueError) as err:
+    # ValueError covers FormatError, StructureError and FormulaError
+    except (_Failure, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:   # never let a crash read as a verdict

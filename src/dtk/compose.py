@@ -12,9 +12,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .equivalences import EquivVariant, coarsest_partition_lts, equivalent
-from .generators import random_lts
-from .linear import complete_traces
+# only merge runs on the command line; the experiments below reach the
+# other engines through their modules, which load on first use
+from . import equivalences, figures, generators, linear
 from .structures import Lts, TAU, disjoint_union_lts, fresh_name
 
 
@@ -90,19 +90,19 @@ def congruence_counterexample() -> CounterexampleReport:
     """Reproduce the failure of divergence-sensitive equivalence under
     merge: the deadlocked and livelocked components are equivalent, their
     compositions with a visible action are not."""
-    from .figures import deadlock_merge_example_lts
-    l = deadlock_merge_example_lts()
+    l = figures.deadlock_merge_example_lts()
     union, dead_root, live_root = merged_pair_system(
         l, "0", l, "a", l, "Delta0", l, "a")
+    equivalent, variant = equivalences.equivalent, equivalences.EquivVariant
     return CounterexampleReport(
         components_ds_equivalent=equivalent(
-            l, "0", "Delta0", EquivVariant.DIVERGENCE_SENSITIVE),
+            l, "0", "Delta0", variant.DIVERGENCE_SENSITIVE),
         products_ds_equivalent=equivalent(
-            union, dead_root, live_root, EquivVariant.DIVERGENCE_SENSITIVE),
+            union, dead_root, live_root, variant.DIVERGENCE_SENSITIVE),
         products_db_equivalent=equivalent(
-            union, dead_root, live_root, EquivVariant.DIVERGENCE_BLIND),
+            union, dead_root, live_root, variant.DIVERGENCE_BLIND),
         components_ed_equivalent=equivalent(
-            l, "0", "Delta0", EquivVariant.EXPLICIT_DIVERGENCE),
+            l, "0", "Delta0", variant.EXPLICIT_DIVERGENCE),
     )
 
 
@@ -111,41 +111,42 @@ def distinguishing_completion_trace(bound: int = 3):
     livelocked product can stay silent forever, the deadlocked one
     cannot.  Returns (traces of deadlocked product, traces of livelocked
     product)."""
-    from .figures import deadlock_merge_example_lts
-    l = deadlock_merge_example_lts()
+    l = figures.deadlock_merge_example_lts()
     dead_prod, dead_root = merge(l, "0", l, "a")
     live_prod, live_root = merge(l, "Delta0", l, "a")
-    dead_traces, dead_exact = complete_traces(dead_prod, dead_root, "trivial", bound)
-    live_traces, live_exact = complete_traces(live_prod, live_root, "trivial", bound)
+    dead_traces, dead_exact = linear.complete_traces(
+        dead_prod, dead_root, "trivial", bound)
+    live_traces, live_exact = linear.complete_traces(
+        live_prod, live_root, "trivial", bound)
     assert dead_exact and live_exact
     return dead_traces, live_traces
 
 
 @dataclass(frozen=True)
 class SampleReport:
-    variant: EquivVariant
+    variant: equivalences.EquivVariant
     trials: int
     passed: int
     failures: tuple
     seed: int
 
 
-def congruence_sample(variant: EquivVariant, trials: int, max_states: int,
-                      seed: int) -> SampleReport:
+def congruence_sample(variant: equivalences.EquivVariant, trials: int,
+                      max_states: int, seed: int) -> SampleReport:
     """Random congruence probing: draw equivalent component pairs from
     coarsest partitions and check the merged pairs stay equivalent.
 
     Meaningful for the divergence-blind and explicit-divergence variants,
     where equivalence is a merge congruence; failures are reported with
     their trial index for reproduction."""
-    if variant is EquivVariant.DIVERGENCE_SENSITIVE:
+    if variant is equivalences.EquivVariant.DIVERGENCE_SENSITIVE:
         raise ValueError("divergence-sensitive equivalence is not a congruence")
     rng = random.Random(seed)
     failures = []
     passed = 0
     for trial in range(trials):
-        l = random_lts(rng, max_states=max_states)
-        part = coarsest_partition_lts(l, variant)
+        l = generators.random_lts(rng, max_states=max_states)
+        part = equivalences.coarsest_partition_lts(l, variant)
         pairs = [sorted(b)[:2] for b in part.blocks if len(b) >= 2]
         if pairs:
             s, s2 = pairs[rng.randrange(len(pairs))]
@@ -156,7 +157,7 @@ def congruence_sample(variant: EquivVariant, trials: int, max_states: int,
         t2 = rng.choice(t2_candidates)
         union, left_root, right_root = merged_pair_system(
             l, s, l, t, l, s2, l, t2)
-        if equivalent(union, left_root, right_root, variant):
+        if equivalences.equivalent(union, left_root, right_root, variant):
             passed += 1
         else:
             failures.append(f"trial {trial}: {s}|{t} vs {s2}|{t2}")
@@ -192,16 +193,17 @@ def coarsest_congruence_probe(l: Lts, s, t, contexts=()) -> ProbeReport:
     does.  Expected: explicit-divergence equivalence implies all context
     checks pass, and its failure shows up at the fresh-action context.
     """
-    ed = equivalent(l, s, t, EquivVariant.EXPLICIT_DIVERGENCE)
+    equivalent, variant = equivalences.equivalent, equivalences.EquivVariant
+    ed = equivalent(l, s, t, variant.EXPLICIT_DIVERGENCE)
     context_results = []
     for (lc, u) in contexts:
         union, left_root, right_root = merged_pair_system(
             l, s, lc, u, l, t, lc, u)
         context_results.append(equivalent(
-            union, left_root, right_root, EquivVariant.DIVERGENCE_SENSITIVE))
+            union, left_root, right_root, variant.DIVERGENCE_SENSITIVE))
     ctx, root, action = fresh_action_context(l)
     union, left_root, right_root = merged_pair_system(
         l, s, ctx, root, l, t, ctx, root)
     fresh_ds = equivalent(union, left_root, right_root,
-                          EquivVariant.DIVERGENCE_SENSITIVE)
+                          variant.DIVERGENCE_SENSITIVE)
     return ProbeReport(ed, tuple(context_results), action, fresh_ds)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .equivalences import Partition
+from . import equivalences
 from .graphs import tarjan_cycle_states
-from .structures import KripkeStructure, Lts, Path, TAU
+from .structures import (
+    KripkeStructure, Lts, Path, TAU, path_is_maximal, path_is_valid)
 
 OPEN = "open"
 DEADLOCK = "deadlock"
@@ -94,7 +95,7 @@ def _colouring_fn(g, colouring):
         if not isinstance(g, KripkeStructure):
             raise ValueError("labelling colouring needs a Kripke structure")
         return lambda s: g.labelling[s]
-    if isinstance(colouring, Partition):
+    if isinstance(colouring, equivalences.Partition):
         return lambda s: colouring.block_of[s]
     raise ValueError(f"unknown colouring {colouring!r}")
 
@@ -340,7 +341,6 @@ def eval_path_formula(k: KripkeStructure, psi, path: Path) -> bool:
     rotations), so untils are decided by a finite scan; the infinity
     modality holds exactly on lassos.
     """
-    from .structures import path_is_valid, path_is_maximal
     if not path_is_valid(k, path):
         raise ValueError("path does not follow the structure's transitions")
     if not path_is_maximal(k, path):

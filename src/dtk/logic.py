@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .equivalences import EquivVariant, refinement_history
+from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
 from .structures import DELTA_PROP, KripkeStructure
 
@@ -409,7 +409,8 @@ def enumerate_formulas(props, depth: int, budget: int,
 # Distinguishing formulas
 # ---------------------------------------------------------------------------
 
-def distinguish(k: KripkeStructure, s, t, variant: EquivVariant):
+def distinguish(k: KripkeStructure, s, t,
+                variant: equivalences.EquivVariant):
     """A formula valid at ``s`` but not at ``t``, or None when the states
     are equivalent under the variant.
 
@@ -423,7 +424,7 @@ def distinguish(k: KripkeStructure, s, t, variant: EquivVariant):
     for x in (s, t):
         if x not in set(k.states):
             raise ValueError(f"unknown state {x!r}")
-    history = refinement_history(k, variant)
+    history = equivalences.refinement_history(k, variant)
     final, _ = history[-1]
     if final.same_block(s, t):
         return None
@@ -501,7 +502,7 @@ def distinguish(k: KripkeStructure, s, t, variant: EquivVariant):
     raise AssertionError("unreachable: states differ in the final partition")
 
 
-def semantics_for_variant(variant: EquivVariant) -> Semantics:
-    if variant is EquivVariant.DIVERGENCE_BLIND:
+def semantics_for_variant(variant: equivalences.EquivVariant) -> Semantics:
+    if variant is equivalences.EquivVariant.DIVERGENCE_BLIND:
         return Semantics.DIVERGENCE_BLIND
     return Semantics.MAXIMAL_PATH

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 TAU = "tau"
 DELTA_PROP = "delta"
@@ -33,13 +34,7 @@ class StructureError(ValueError):
 
 
 def _dedup(seq):
-    seen = set()
-    out = []
-    for item in seq:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return tuple(out)
+    return tuple(dict.fromkeys(seq))
 
 
 @dataclass(frozen=True)
@@ -82,13 +77,17 @@ class _StateGraph:
         """Reject malformed steps and steps that leave the declared
         states; drop duplicates."""
         declared = set(self.states)
-        for t in self.transitions:
-            if len(t) != self._step_width:
-                raise StructureError(f"malformed transition {t!r}")
-            if t[0] not in declared or t[-1] not in declared:
-                raise StructureError(
-                    f"transition ({', '.join(map(str, t))}) leaves declared states")
-        object.__setattr__(self, "transitions", _dedup(self.transitions))
+        trans = self.transitions
+        if not ({self._step_width}.issuperset(map(len, trans))
+                and declared.issuperset(map(itemgetter(0), trans))
+                and declared.issuperset(map(itemgetter(-1), trans))):
+            for t in trans:    # name the first offender
+                if len(t) != self._step_width:
+                    raise StructureError(f"malformed transition {t!r}")
+                if t[0] not in declared or t[-1] not in declared:
+                    raise StructureError(f"transition ({', '.join(map(str, t))})"
+                                         " leaves declared states")
+        object.__setattr__(self, "transitions", _dedup(trans))
 
 
 class _LabelledGraph(_StateGraph):
@@ -147,8 +146,7 @@ class Lts(_StateGraph):
 
     def __post_init__(self):
         object.__setattr__(self, "states", _dedup(self.states))
-        acts = [TAU] + [a for a in self.actions if a != TAU]
-        acts += [a for (_, a, _) in self.transitions if a not in acts]
+        acts = [TAU, *self.actions, *(a for (_, a, _) in self.transitions)]
         object.__setattr__(self, "actions", _dedup(acts))
         self._check_transitions()
 
@@ -229,41 +227,58 @@ def _check_id(token, line):
     return token
 
 
-def _lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield i, line.replace("{", " { ").replace("}", " } ").split()
-
-
-def _parse_state_with_props(tokens, i):
-    # state <id> { <prop> ... }
-    if len(tokens) < 4 or tokens[2] != "{" or tokens[-1] != "}":
-        raise FormatError("expected: state <id> { <prop> ... }", i)
-    sid = _check_id(tokens[1], i)
-    props = [_check_id(p, i) for p in tokens[3:-1]]
-    return sid, props
+def _check_new_ids(tokens, known, line):
+    """Check, in order, the tokens not yet in ``known``, the set of ids
+    already seen to be well formed, and add them to it."""
+    for token in tokens:
+        if token not in known:
+            known.add(_check_id(token, line))
 
 
 def _parse(text, edge_syntax, labelled, allow_delta=False):
-    """Shared reader of the three formats.
+    """Shared reader of the three formats, one pass over the text.
 
     ``edge_syntax`` is the edge directive with its operands, e.g.
     ``edge <src> <dst>``; ``labelled`` selects ``state <id> { ... }``
     over ``state <id>``.  Returns (states, labelling, edges, saw_delta).
+    Each distinct id is checked against the id charset once: an edge
+    whose tokens are declared states or known actions needs no check.
     """
     directive, width = edge_syntax.split()[0], len(edge_syntax.split())
     states, labelling, edges = [], {}, []
+    known = set()
     saw_delta = False
-    for i, tokens in _lines(text):
-        if tokens[0] == "state":
-            if labelled:
-                sid, props = _parse_state_with_props(tokens, i)
-            elif len(tokens) != 2:
-                raise FormatError("expected: state <id>", i)
+    for i, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        if "{" in raw or "}" in raw:
+            raw = raw.replace("{", " { ").replace("}", " } ")
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0] == directive:
+            if len(tokens) != width:
+                raise FormatError(f"expected: {edge_syntax}", i)
+            edge = tuple(tokens[1:])
+            if not (edge[0] in labelling and edge[-1] in labelling
+                    and (width == 3 or edge[1] in known)):   # 3: no action
+                _check_new_ids(edge, known, i)
+                for endpoint in (edge[0], edge[-1]):
+                    if endpoint not in labelling:
+                        raise FormatError(f"undeclared state {endpoint!r}", i)
+            edges.append(edge)
+        elif tokens[0] == "state":
+            if not labelled:
+                if len(tokens) != 2:
+                    raise FormatError("expected: state <id>", i)
+                props = []
+            elif len(tokens) < 4 or tokens[2] != "{" or tokens[-1] != "}":
+                raise FormatError("expected: state <id> { <prop> ... }", i)
             else:
-                sid, props = _check_id(tokens[1], i), []
+                props = tokens[3:-1]
+            sid = tokens[1]
+            if sid not in known or not known.issuperset(props):
+                _check_new_ids([sid, *props], known, i)
             if sid in labelling:
                 raise FormatError(f"duplicate state {sid!r}", i)
             if DELTA_PROP in props:
@@ -273,16 +288,6 @@ def _parse(text, edge_syntax, labelled, allow_delta=False):
                 saw_delta = True
             states.append(sid)
             labelling[sid] = props
-        elif tokens[0] == directive:
-            if len(tokens) != width:
-                raise FormatError(f"expected: {edge_syntax}", i)
-            edge = tuple(tokens[1:])
-            for token in edge:
-                _check_id(token, i)
-            for endpoint in (edge[0], edge[-1]):
-                if endpoint not in labelling:
-                    raise FormatError(f"undeclared state {endpoint!r}", i)
-            edges.append(edge)
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", i)
     return tuple(states), labelling, tuple(edges), saw_delta

@@ -269,3 +269,18 @@ def test_ks2l2ts_round_trip_via_files(capsys, stutter_ks, tmp_path):
     assert code == 0
     parsed = parse_l2ts(out_path.read_text())
     assert parsed == ks_to_l2ts(figures.stuttering_example_ks())
+
+
+@pytest.mark.parametrize("command", ["transform", "compose"])
+def test_unwritable_output_exits_2(capsys, stutter_ks, merge_lts, tmp_path,
+                                   command):
+    target = str(tmp_path / "missing" / "out.txt")
+    if command == "transform":
+        argv = ("transform", "--op", "dext", "--model", stutter_ks)
+    else:
+        argv = ("compose", "--left", f"{merge_lts}:0",
+                "--right", f"{merge_lts}:a")
+    code, out, err = run(capsys, *argv, "-o", target)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "internal error" not in err
