@@ -11,12 +11,20 @@ genuinely infinite witness path.  Two semantics are supported:
 
 Existential until has the same least-fixpoint semantics either way
 (every finite path extends to a maximal one).
+
+Every walk over a formula is one ``_fold``: a post-order walk on an
+explicit stack that calls a per-node ``visit`` once per distinct
+subformula, shared or an equal copy, with the values of its children.
+``_children`` alone lists the subformulas of each node kind.  The parser
+is one loop over the tokens, so no formula is too deep for either.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
@@ -61,8 +69,6 @@ class ExistsGInf:
     sub: object
 
 
-StateFormula = (Prop, Not, And, ExistsUntil, ExistsG, ExistsGInf)
-
 TRUE = And(())
 FALSE = Not(TRUE)
 
@@ -82,175 +88,174 @@ class Semantics(Enum):
 
 
 # ---------------------------------------------------------------------------
+# The fold
+# ---------------------------------------------------------------------------
+
+def _children(f) -> tuple:
+    """The subformulas of a node, in order."""
+    match f:
+        case Prop():
+            return ()
+        case And(items):
+            return items
+        case ExistsUntil(lhs, rhs):
+            return (lhs, rhs)
+        case Not(sub) | ExistsG(sub) | ExistsGInf(sub):
+            return (sub,)
+    raise FormulaError(f"not a state formula: {f!r}")
+
+
+def _fold(phi, visit, memo=None):
+    """``visit(node, values of its children)`` at ``phi``, children first.
+
+    A node's key is its kind and its children's numbers (a proposition's
+    is its name), so ``visit`` runs once per distinct subformula and no
+    lookup hashes a formula.  ``memo`` maps a key to ``(number, value)``
+    and ``id(node)`` to ``(number, value, node)``; holding the node keeps
+    its id from being reused.  Folds with one ``visit`` may share a memo.
+    """
+    memo = {} if memo is None else memo
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if id(f) in memo:
+            stack.pop()
+            continue
+        kids = _children(f)
+        todo = [c for c in kids if id(c) not in memo]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        key = ((Prop, f.name) if type(f) is Prop
+               else (type(f), *(memo[id(c)][0] for c in kids)))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = (
+                len(memo), visit(f, [memo[id(c)][1] for c in kids]))
+        memo[id(f)] = found + (f,)
+    return memo[id(phi)][1]
+
+
+# ---------------------------------------------------------------------------
 # Parsing and rendering
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"([()~&|]|[\w.]+)|\S")   # a token, or a bad character
 _KEYWORDS = {"true", "false", "E", "EG", "EGinf", "EF", "AG", "AF", "U"}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+_PREFIXES = {
+    "~": Not, "EG": ExistsG, "EGinf": ExistsGInf, "AG": AllG,
+    "EF": lambda f: ExistsUntil(TRUE, f),
+    "AF": lambda f: Not(ExistsG(Not(f))),
+}
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()~&|":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c.isalnum() or c in "_.":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        raise FormulaError(f"unexpected character {c!r} at position {i}")
+    for m in _TOKEN.finditer(text):
+        if m[1] is None:
+            raise FormulaError(
+                f"unexpected character {m[0]!r} at position {m.start()}")
+        tokens.append((m[1], m.start()))
     tokens.append((None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+class _Group:
+    """An open group: the whole text, ``( ... )``, or one side of
+    ``E ( ... U ... )``."""
 
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, want):
-        tok, at = self.next()
-        if tok != want:
-            raise FormulaError(f"expected {want!r} at position {at}, got {tok!r}")
-
-    def fail(self, message):
-        _, at = self.tokens[self.pos]
-        raise FormulaError(f"{message} at position {at}")
-
-    def parse(self):
-        phi = self.parse_or()
-        tok, at = self.tokens[self.pos]
-        if tok is not None:
-            raise FormulaError(f"trailing input at position {at}: {tok!r}")
-        return phi
-
-    def parse_or(self):
-        phi = self.parse_and()
-        while self.peek() == "|":
-            self.next()
-            phi = Or(phi, self.parse_and())
-        return phi
-
-    def parse_and(self):
-        phi = self.parse_unary()
-        items = [phi]
-        while self.peek() == "&":
-            self.next()
-            items.append(self.parse_unary())
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok == "~":
-            self.next()
-            return Not(self.parse_unary())
-        if tok == "(":
-            self.next()
-            phi = self.parse_or()
-            self.expect(")")
-            return phi
-        if tok == "true":
-            self.next()
-            return TRUE
-        if tok == "false":
-            self.next()
-            return FALSE
-        if tok == "E":
-            self.next()
-            self.expect("(")
-            lhs = self.parse_or()
-            self.expect("U")
-            rhs = self.parse_or()
-            self.expect(")")
-            return ExistsUntil(lhs, rhs)
-        if tok == "EG":
-            self.next()
-            return ExistsG(self.parse_unary())
-        if tok == "EGinf":
-            self.next()
-            return ExistsGInf(self.parse_unary())
-        if tok == "EF":
-            self.next()
-            return ExistsUntil(TRUE, self.parse_unary())
-        if tok == "AG":
-            self.next()
-            return AllG(self.parse_unary())
-        if tok == "AF":
-            self.next()
-            return Not(ExistsG(Not(self.parse_unary())))
-        if tok is None:
-            self.fail("unexpected end of input")
-        if tok in _KEYWORDS:
-            self.fail(f"misplaced keyword {tok!r}")
-        self.next()
-        return Prop(tok)
+    def __init__(self, closer, lhs=None):
+        self.closer = closer    # the token that ends it; None: the end
+        self.lhs = lhs          # set on the right side of an until
+        self.terms = [[]]       # the conjuncts of each disjunct
+        self.prefixes = []      # operators awaiting their operand
 
 
 def parse_formula(text: str):
-    """Parse the ASCII grammar; EF/AG/AF, "false" and "|" are sugar."""
-    return _Parser(text).parse()
+    """Parse the ASCII grammar; EF/AG/AF, "false" and "|" are sugar.
+
+    ``&`` binds tighter than ``|``, which groups to the left; a prefix
+    operator applies to the operand after it.
+    """
+    tokens = iter(_tokenize(text))
+    stack = [_Group(None)]
+    phi = None          # an operand read, waiting for the token after it
+    for tok, at in tokens:
+        group = stack[-1]
+        if phi is None:
+            if tok in _PREFIXES:
+                group.prefixes.append(_PREFIXES[tok])
+            elif tok == "(":
+                stack.append(_Group(")"))
+            elif tok == "E":
+                tok, at = next(tokens)
+                if tok != "(":
+                    raise FormulaError(
+                        f"expected '(' at position {at}, got {tok!r}")
+                stack.append(_Group("U"))
+            elif tok in _CONSTANTS:
+                phi = _CONSTANTS[tok]
+            elif tok is None:
+                raise FormulaError(f"unexpected end of input at position {at}")
+            elif tok in _KEYWORDS:
+                raise FormulaError(f"misplaced keyword {tok!r} at position {at}")
+            elif tok in (")", "&", "|"):
+                raise FormulaError(f"unexpected {tok!r} at position {at}")
+            else:
+                phi = Prop(tok)
+            continue
+        while group.prefixes:
+            phi = group.prefixes.pop()(phi)
+        group.terms[-1].append(phi)
+        phi = None
+        if tok == "&":
+            continue
+        if tok == "|":
+            group.terms.append([])
+            continue
+        if tok != group.closer:
+            if group.closer is None:
+                raise FormulaError(f"trailing input at position {at}: {tok!r}")
+            raise FormulaError(
+                f"expected {group.closer!r} at position {at}, got {tok!r}")
+        stack.pop()
+        phi = reduce(Or, (c[0] if len(c) == 1 else And(tuple(c))
+                          for c in group.terms))
+        if group.closer is None:
+            return phi
+        if group.closer == "U":
+            stack.append(_Group(")", lhs=phi))
+            phi = None
+        elif group.lhs is not None:
+            phi = ExistsUntil(group.lhs, phi)
+
+
+def _render(f, kids):
+    match f:
+        case Prop(name):
+            return name
+        case And():
+            return "(" + " & ".join(kids) + ")" if kids else "true"
+        case Not():
+            return "~" + kids[0]
+        case ExistsUntil():
+            return f"E ({kids[0]} U {kids[1]})"
+    # EG or EGinf; an until or globally body is parenthesised
+    text = kids[0] if isinstance(f.sub, (Prop, And, Not)) else f"({kids[0]})"
+    return ("EG " if type(f) is ExistsG else "EGinf ") + text
 
 
 def render_formula(phi) -> str:
     """Deterministic text form; re-parses to the same tree for sugar-free
-    formulas."""
-    match phi:
-        case Prop(name):
-            return name
-        case And(items) if not items:
-            return "true"
-        case And(items):
-            return "(" + " & ".join(render_formula(f) for f in items) + ")"
-        case Not(sub):
-            return "~" + render_formula(sub)
-        case ExistsUntil(lhs, rhs):
-            return f"E ({render_formula(lhs)} U {render_formula(rhs)})"
-        case ExistsG(sub):
-            return "EG " + _wrap(sub)
-        case ExistsGInf(sub):
-            return "EGinf " + _wrap(sub)
-    raise FormulaError(f"not a state formula: {phi!r}")
-
-
-def _wrap(phi):
-    text = render_formula(phi)
-    if isinstance(phi, (Prop, And, Not)) or text.startswith("("):
-        return text
-    return f"({text})"
+    formulas.  A shared subformula is rendered once and its text reused."""
+    return _fold(phi, _render)
 
 
 def formula_propositions(phi) -> set:
-    match phi:
-        case Prop(name):
-            return {name}
-        case Not(sub) | ExistsG(sub) | ExistsGInf(sub):
-            return formula_propositions(sub)
-        case And(items):
-            out = set()
-            for f in items:
-                out |= formula_propositions(f)
-            return out
-        case ExistsUntil(lhs, rhs):
-            return formula_propositions(lhs) | formula_propositions(rhs)
-    raise FormulaError(f"not a state formula: {phi!r}")
+    return _fold(phi, lambda f, kids: (
+        {f.name} if type(f) is Prop else set().union(*kids)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,47 +263,37 @@ def formula_propositions(phi) -> set:
 # ---------------------------------------------------------------------------
 
 def _evaluator(k: KripkeStructure, semantics: Semantics):
+    """The ``visit`` that computes satisfaction sets on ``k``."""
     adj = k.adjacency
+    states = frozenset(k.states)
     dead = frozenset(adj.deadlocks)
-    memo = {}
 
-    def ev(f):
-        if f in memo:
-            return memo[f]
-        out = _ev(f)
-        memo[f] = out
-        return out
-
-    def _ev(f):
-        match f:
-            case Prop(name):
-                return frozenset(s for s in k.states if name in k.labelling[s])
-            case Not(sub):
-                return frozenset(k.states) - ev(sub)
-            case And(items):
-                out = frozenset(k.states)
-                for g in items:
-                    out &= ev(g)
-                return out
-            case ExistsUntil(lhs, rhs):
-                sat_l = ev(lhs)
-                return frozenset(backward_reach(ev(rhs), adj.pred, sat_l))
-            case ExistsGInf(sub):
-                return _sat_inf_globally(ev(sub))
-            case ExistsG(sub):
-                sat_s = ev(sub)
-                if semantics is Semantics.DIVERGENCE_BLIND:
-                    return sat_s
-                inf_part = _sat_inf_globally(sat_s)
-                dead_part = backward_reach(dead & sat_s, adj.pred, sat_s)
-                return frozenset(inf_part | dead_part)
-        raise FormulaError(f"not a state formula: {f!r}")
-
-    def _sat_inf_globally(sat_s):
+    def inf_globally(sat_s):
         cyc = tarjan_cycle_states(sat_s, adj.succ)
         return frozenset(backward_reach(cyc, adj.pred, sat_s))
 
-    return ev
+    def visit(f, kids):
+        match f:
+            case Prop(name):
+                if name == DELTA_PROP and not k.delta_extended:
+                    raise FormulaError(f"proposition {DELTA_PROP!r} only "
+                                       f"applies to deadlock extensions")
+                return frozenset(s for s in k.states if name in k.labelling[s])
+            case Not():
+                return states - kids[0]
+            case And():
+                return states.intersection(*kids)
+            case ExistsUntil():
+                return frozenset(backward_reach(kids[1], adj.pred, kids[0]))
+            case ExistsGInf():
+                return inf_globally(kids[0])
+        # EG: an infinite witness, or a finite one that ends in a deadlock
+        if semantics is Semantics.DIVERGENCE_BLIND:
+            return kids[0]
+        dead_part = backward_reach(dead & kids[0], adj.pred, kids[0])
+        return frozenset(inf_globally(kids[0]) | dead_part)
+
+    return visit
 
 
 def sat(k: KripkeStructure, phi, semantics: Semantics) -> frozenset:
@@ -307,28 +302,30 @@ def sat(k: KripkeStructure, phi, semantics: Semantics) -> frozenset:
     Unknown propositions are everywhere-false; the reserved deadlock
     proposition may only be used against deadlock-extended structures.
     """
-    if DELTA_PROP in formula_propositions(phi) and not k.delta_extended:
-        raise FormulaError(
-            f"proposition {DELTA_PROP!r} only applies to deadlock extensions")
-    return _evaluator(k, semantics)(phi)
+    return sat_many(k, [phi], semantics)[0]
 
 
 def sat_many(k: KripkeStructure, formulas, semantics: Semantics) -> list:
     """Satisfaction sets for many formulas, sharing subformula results."""
-    ev = _evaluator(k, semantics)
-    out = []
-    for phi in formulas:
-        if DELTA_PROP in formula_propositions(phi) and not k.delta_extended:
-            raise FormulaError(
-                f"proposition {DELTA_PROP!r} only applies to deadlock extensions")
-        out.append(ev(phi))
-    return out
+    visit, memo = _evaluator(k, semantics), {}
+    return [_fold(phi, visit, memo) for phi in formulas]
 
 
 def check(k: KripkeStructure, state, phi, semantics: Semantics) -> bool:
     if state not in set(k.states):
         raise ValueError(f"unknown state {state!r}")
     return state in sat(k, phi, semantics)
+
+
+def _at_sink(f, kids):
+    match f:
+        case Prop(name):
+            return name == DELTA_PROP
+        case Not():
+            return not kids[0]
+        case And():
+            return all(kids)
+    return kids[-1]     # an until's right argument, a globally's body
 
 
 def sdelta_eval(phi) -> bool:
@@ -338,18 +335,7 @@ def sdelta_eval(phi) -> bool:
     maximal path has only itself as a suffix, so untils collapse to
     their right argument and globals to their body.
     """
-    match phi:
-        case Prop(name):
-            return name == DELTA_PROP
-        case Not(sub):
-            return not sdelta_eval(sub)
-        case And(items):
-            return all(sdelta_eval(f) for f in items)
-        case ExistsUntil(_, rhs):
-            return sdelta_eval(rhs)
-        case ExistsG(sub) | ExistsGInf(sub):
-            return sdelta_eval(sub)
-    raise FormulaError(f"not a state formula: {phi!r}")
+    return _fold(phi, _at_sink)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ are semantic inverses across the deadlock extension.
 from __future__ import annotations
 
 from . import logic
-from .logic import And, ExistsG, ExistsGInf, ExistsUntil, Not, Or, Prop, TRUE
 from .structures import (
     DELTA_PROP,
     DUMMY_PROP,
@@ -114,45 +113,40 @@ def totalize_all_selfloops(k: KripkeStructure) -> KripkeStructure:
 # Formula encodings
 # ---------------------------------------------------------------------------
 
-def _expand_eg(sub):
-    # maximal-path identity: EG phi = EGinf phi | E(phi U AG phi)
-    return Or(ExistsGInf(sub), ExistsUntil(sub, logic.AllG(sub)))
-
-
 def encode_D(phi):
     """Translate an infinity formula for evaluation on the deadlock
     extension: truth at a state of the original structure equals truth of
     the image at the same state of the extension.
 
     Negations pick up a "not deadlocked" guard; an infinite-globally
-    becomes a globally confined to non-sink states.  Plain globally is
-    first expanded through the maximal-path identity.
+    becomes a globally confined to non-sink states.  Plain globally goes
+    through the maximal-path identity EG phi = EGinf phi | E(phi U AG phi).
     """
-    if DELTA_PROP in logic.formula_propositions(phi):
-        raise logic.FormulaError(
-            f"input may not mention {DELTA_PROP!r}")
-    return _encode_D(phi)
+    not_delta = logic.Not(logic.Prop(DELTA_PROP))
 
+    def neg(image):     # the image of ~phi from the image of phi
+        return logic.And((not_delta, logic.Not(image)))
 
-def _not_delta():
-    return Not(Prop(DELTA_PROP))
+    def visit(f, kids):
+        match f:
+            case logic.Prop(name):
+                if name == DELTA_PROP:
+                    raise logic.FormulaError(
+                        f"input may not mention {DELTA_PROP!r}")
+                return f
+            case logic.Not():
+                return neg(kids[0])
+            case logic.And():
+                return logic.And(kids)
+            case logic.ExistsUntil():
+                return logic.ExistsUntil(*kids)
+        inf = logic.ExistsG(logic.And((not_delta, kids[0])))
+        if isinstance(f, logic.ExistsGInf):
+            return inf
+        all_g = neg(logic.ExistsUntil(logic.TRUE, neg(kids[0])))
+        return neg(logic.And((neg(inf), neg(logic.ExistsUntil(kids[0], all_g)))))
 
-
-def _encode_D(phi):
-    match phi:
-        case Prop(_):
-            return phi
-        case Not(sub):
-            return And((_not_delta(), Not(_encode_D(sub))))
-        case And(items):
-            return And(tuple(_encode_D(f) for f in items))
-        case ExistsUntil(lhs, rhs):
-            return ExistsUntil(_encode_D(lhs), _encode_D(rhs))
-        case ExistsGInf(sub):
-            return ExistsG(And((_not_delta(), _encode_D(sub))))
-        case ExistsG(sub):
-            return _encode_D(_expand_eg(sub))
-    raise logic.FormulaError(f"not a state formula: {phi!r}")
+    return logic._fold(phi, visit)
 
 
 def encode_E(phi):
@@ -162,31 +156,33 @@ def encode_E(phi):
 
     Until and globally branch on whether their relevant subformula holds
     at the sink; when it does, paths that deadlock in the original
-    structure may also serve as witnesses.
+    structure may also serve as witnesses.  The fold carries each
+    subformula's image and its truth at the sink.
     """
-    match phi:
-        case Prop(name):
-            return Not(TRUE) if name == DELTA_PROP else phi
-        case Not(sub):
-            return Not(encode_E(sub))
-        case And(items):
-            return And(tuple(encode_E(f) for f in items))
-        case ExistsUntil(lhs, rhs):
-            base = ExistsUntil(encode_E(lhs), encode_E(rhs))
-            if logic.sdelta_eval(rhs):
-                # the witness point may be the sink: the original path
-                # then runs through lhs-states into a deadlock
-                via_deadlock = ExistsUntil(
-                    encode_E(lhs),
-                    And((Not(ExistsGInf(TRUE)), ExistsG(encode_E(lhs)))))
-                return Or(base, via_deadlock)
-            return base
-        case ExistsG(sub):
-            if logic.sdelta_eval(sub):
-                return ExistsG(encode_E(sub))
-            return ExistsGInf(encode_E(sub))
-        case ExistsGInf(sub):
-            # the extension is total, so an infinite witness is any
-            # maximal witness
-            return encode_E(ExistsG(sub))
-    raise logic.FormulaError(f"not a state formula: {phi!r}")
+    def visit(f, kids):
+        images = [image for image, _ in kids]
+        at_sink = logic._at_sink(f, [holds for _, holds in kids])
+        match f:
+            case logic.Prop(name):
+                return (logic.FALSE if name == DELTA_PROP else f), at_sink
+            case logic.Not():
+                return logic.Not(images[0]), at_sink
+            case logic.And():
+                return logic.And(images), at_sink
+            case logic.ExistsUntil():
+                lhs, rhs = images
+                image = logic.ExistsUntil(lhs, rhs)
+                if at_sink:
+                    # rhs holds at the sink, so the witness point may be
+                    # the sink: the original path then runs through
+                    # lhs-states into a deadlock
+                    stuck = logic.And((logic.Not(logic.ExistsGInf(logic.TRUE)),
+                                       logic.ExistsG(lhs)))
+                    image = logic.Or(image, logic.ExistsUntil(lhs, stuck))
+                return image, at_sink
+        # the extension is total, so an infinite witness is any maximal
+        # witness: EGinf and EG encode alike
+        kind = logic.ExistsG if at_sink else logic.ExistsGInf
+        return kind(images[0]), at_sink
+
+    return logic._fold(phi, visit)[0]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dtk import figures
+from dtk import figures, logic
 from dtk.cli import main
 from dtk.structures import (
     parse_ks,
@@ -121,6 +121,10 @@ def test_model_check_bad_formula_exits_2(capsys, stutter_ks):
     code, _, err = run(capsys, "model-check", "--model", stutter_ks,
                        "--formula", "EG (p")
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, "model-check", "--model", stutter_ks,
+                         "--formula", ")")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: unexpected ')' at position 0"
 
 
 def test_distinguish_pipeline_into_model_check(capsys, stutter_ks):
@@ -237,13 +241,25 @@ def test_check_equiv_checks_states_before_the_oracle(capsys, tmp_path):
     assert err.strip() == "error: unknown state 'nope'"
 
 
-def test_internal_errors_exit_2(capsys, stutter_ks):
-    # the formula overflows Python's recursion limit; a crash must not
-    # read as a verdict (exit 1)
-    code, _, err = run(capsys, "model-check", "--model", stutter_ks,
-                       "--formula", "~" * 3000 + "p", "--state", "s")
-    assert code == 2
-    assert err.strip() == "error: internal error: RecursionError"
+def test_internal_errors_exit_2(capsys, stutter_ks, monkeypatch):
+    # a crash must not read as a verdict (exit 1)
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(logic, "sat", crash)
+    code, out, err = run(capsys, "model-check", "--model", stutter_ks,
+                         "--formula", "p", "--state", "s")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: internal error: RuntimeError"
+
+
+@pytest.mark.parametrize("formula", ["~" * 3000 + "p",
+                                     "(" * 3000 + "p" + ")" * 3000])
+def test_deeply_nested_formulas(capsys, stutter_ks, formula):
+    # deeper than Python's recursion limit: parser and evaluator loop
+    code, out, err = run(capsys, "model-check", "--model", stutter_ks,
+                         "--formula", formula, "--state", "s")
+    assert (code, out, err) == (0, "true\n", "")
 
 
 def test_traces_of_a_long_tau_chain(capsys, tmp_path):

@@ -59,11 +59,21 @@ def test_parse_precedence():
     assert parse_formula("p & q | r") == Or(And((Prop("p"), Prop("q"))), Prop("r"))
 
 
-@pytest.mark.parametrize("text", ["E p U q", "EG", "(p", "p )", "p ~", "U p"])
+# the last five read an operator token where an operand belongs
+@pytest.mark.parametrize("text", ["E p U q", "EG", "(p", "p )", "p ~", "U p",
+                                  ")", "p & )", "& p", "p | | q", "E (| U p)"])
 def test_parse_errors_carry_position(text):
     with pytest.raises(FormulaError) as err:
         parse_formula(text)
     assert "position" in str(err.value)
+
+
+def test_deep_nesting_parses_and_renders():
+    # deeper than Python's recursion limit
+    n = 5000
+    phi = parse_formula("~" * n + "(" * n + "p" + ")" * n)
+    assert render_formula(phi) == "~" * n + "p"
+    assert sdelta_eval(phi) is False
 
 
 def test_render_round_trip_random():

@@ -91,6 +91,10 @@ def models(tmp_path_factory):
      {"structures", "graphs", "linear"}),
     (("model-check", "--model", "k.ks", "--formula", "EG p"),
      {"structures", "graphs", "logic"}),
+    (("transform", "--op", "eta", "--model", "l.lts"),
+     {"structures", "transforms"}),
+    (("transform", "--op", "dext", "--model", "k.ks"),
+     {"structures", "transforms"}),
 ])
 def test_a_command_runs_only_the_engines_it_uses(models, argv, engines):
     code, executed = _probe(models, *argv)
