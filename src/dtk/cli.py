@@ -79,8 +79,7 @@ def cmd_check_equiv(args) -> int:
     if len(states) not in (0, 2):
         raise _Failure("--state must be given exactly twice or not at all")
     for s in states:
-        if s not in set(model.states):
-            raise _Failure(f"unknown state {s!r}")
+        model.check_state(s)
     if kind == "ks":
         partition = equivalences.coarsest_partition_ks(model, variant)
     else:
@@ -102,8 +101,8 @@ def cmd_check_equiv(args) -> int:
 
 def cmd_model_check(args) -> int:
     model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
-    if args.state is not None and args.state not in set(model.states):
-        raise _Failure(f"unknown state {args.state!r}")
+    if args.state is not None:
+        model.check_state(args.state)
     phi = logic.parse_formula(args.formula)   # FormulaError exits 2 in main
     satisfied = logic.sat(model, phi, logic.Semantics(args.semantics))
     ordered = [s for s in model.states if s in satisfied]
@@ -119,9 +118,6 @@ def cmd_model_check(args) -> int:
 def cmd_distinguish(args) -> int:
     model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
     variant = equivalences.EquivVariant(args.variant)
-    for s in (args.state_a, args.state_b):
-        if s not in set(model.states):
-            raise _Failure(f"unknown state {s!r}")
     phi = logic.distinguish(model, args.state_a, args.state_b, variant)
     if phi is None:
         _emit(args, "distinguish", {"verdict": "equivalent"}, ["equivalent"])
@@ -179,8 +175,10 @@ def cmd_compose(args) -> int:
     l1 = _load_model(left_path, "lts")
     l2 = _load_model(right_path, "lts")
     for (l, s, origin) in ((l1, left_state, left_path), (l2, right_state, right_path)):
-        if s not in set(l.states):
-            raise _Failure(f"unknown state {s!r} in {origin}")
+        try:
+            l.check_state(s)
+        except ValueError as err:
+            raise _Failure(f"{err} in {origin}") from err
     product, root = compose.merge(l1, left_state, l2, right_state)
     text = f"# root: {root}\n" + render_lts(product)
     _write_output(args.output, text)
@@ -226,8 +224,7 @@ def _render_trace(trace, is_lts):
 def cmd_traces(args) -> int:
     kind = args.kind
     model = _load_model(args.model, kind, allow_delta=args.allow_delta)
-    if args.state not in set(model.states):
-        raise _Failure(f"unknown state {args.state!r}")
+    model.check_state(args.state)
     bound = args.bound
     if bound is None:
         bound = int(os.environ.get("DTK_TRACE_BOUND", DEFAULT_TRACE_BOUND))

@@ -25,9 +25,8 @@ def merge(l1: Lts, s, l2: Lts, t):
     left moves and the right moves; discovery order is breadth-first, so
     output is deterministic.
     """
-    for (l, x) in ((l1, s), (l2, t)):
-        if x not in set(l.states):
-            raise ValueError(f"unknown state {x!r}")
+    l1.check_state(s)
+    l2.check_state(t)
     succ1, succ2 = l1.adjacency.succ, l2.adjacency.succ
 
     def name(pair):

@@ -453,7 +453,6 @@ def divergent_states(g, p: Partition) -> set:
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:
     """Same block of the coarsest partition for the variant."""
-    for x in (s, t):
-        if x not in g.states:
-            raise ValueError(f"unknown state {x!r}")
+    g.check_state(s)
+    g.check_state(t)
     return _coarsest(g, variant).same_block(s, t)

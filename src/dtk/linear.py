@@ -13,6 +13,11 @@ Completion markers tell how the underlying path ends:
 * ``open``       -- enumeration was truncated at the length bound;
 * ``prefix``     -- an arbitrary (not necessarily complete) trace; used
   by the interleaving algebra.
+
+``complete_traces`` is the one trace search; ``coloured_traces`` is the
+step-prefix closure of its result.  A lasso's stem is as short as it can
+be and its cycle is primitive, so two traces from one structure spell
+the same sequence exactly when their ``items`` and ``cycle`` are equal.
 """
 
 from __future__ import annotations
@@ -131,12 +136,10 @@ def complete_traces(g, s, colouring, bound: int):
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    states = set(g.states)
-    if s not in states:
-        raise ValueError(f"unknown state {s!r}")
+    g.check_state(s)
     colour = _colouring_fn(g, colouring)
     edges = g.adjacency.succ
-    cyclic = tarjan_cycle_states(states, edges)
+    cyclic = tarjan_cycle_states(edges, edges)    # edges: a key per state
     is_lts = not isinstance(g, KripkeStructure)
     emitted = set()
     exhausted = True
@@ -190,30 +193,12 @@ def complete_traces(g, s, colouring, bound: int):
 
 def coloured_traces(g, s, colouring, bound: int) -> set:
     """All contracted traces (prefixes of complete ones) of at most
-    ``bound`` steps, as plain item tuples."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    colour = _colouring_fn(g, colouring)
-    edges = g.adjacency.succ
-    is_lts = not isinstance(g, KripkeStructure)
-    start = colour(s)
-    seen_configs = set()
-    out = set()
-    stack = [(s, ())]
-    while stack:
-        (u, steps) = stack.pop()
-        if (u, steps) in seen_configs:
-            continue
-        seen_configs.add((u, steps))
-        out.add((start,) + _flatten(steps, is_lts))
-        for (a, v) in edges[u]:
-            cv = colour(v)
-            silent = (a is None) or a == TAU
-            if silent and cv == colour(u):
-                stack.append((v, steps))
-            elif len(steps) < bound:
-                stack.append((v, steps + ((a, cv),)))
-    return out
+    ``bound`` steps, as plain item tuples: the step prefixes of
+    ``complete_traces``, which unrolls every lasso up to the bound."""
+    traces, _ = complete_traces(g, s, colouring, bound)
+    width = 1 if isinstance(g, KripkeStructure) else 2
+    return {t.items[:i] for t in traces
+            for i in range(1, len(t.items) + 1, width)}
 
 
 # ---------------------------------------------------------------------------
@@ -322,50 +307,72 @@ class PInfinity:
 P_TRUE = PAnd(())
 
 
-def _suffixes(path: Path):
-    if path.kind == "finite":
-        return [Path("finite", path.stem[i:]) for i in range(len(path.stem))]
-    out = [Path("lasso", path.stem[i:], path.cycle)
-           for i in range(len(path.stem))]
-    cyc = list(path.cycle)
-    for j in range(len(cyc)):
-        rotated = tuple(cyc[j + 1:] + cyc[:j + 1])
-        out.append(Path("lasso", (cyc[j],), rotated))
-    return out
+def _path_children(f) -> tuple:
+    match f:
+        case PProp() | PInfinity():
+            return ()
+        case PNot(sub):
+            return (sub,)
+        case PAnd(items):
+            return items
+        case PUntil(lhs, rhs):
+            return (lhs, rhs)
+    raise ValueError(f"not a path formula: {f!r}")
 
 
 def eval_path_formula(k: KripkeStructure, psi, path: Path) -> bool:
     """Suffix semantics on a maximal path.
 
-    A lasso has finitely many distinct suffixes (stem drops plus cycle
-    rotations), so untils are decided by a finite scan; the infinity
-    modality holds exactly on lassos.
+    Every subformula is labelled once at each position of the path,
+    children first, on an explicit stack.  A lasso's last position steps
+    back to its first cycle position, so an until is a backward scan
+    that goes round the cycle twice: the first round settles the first
+    cycle position.  The infinity modality holds exactly on lassos.
     """
     if not path_is_valid(k, path):
         raise ValueError("path does not follow the structure's transitions")
     if not path_is_maximal(k, path):
         raise ValueError("path is not maximal")
+    seq = path.stem + path.cycle
+    n = len(seq)
+    lasso = path.kind == "lasso"
+    # position i steps to nxt[i]; a finite path's last one steps to n,
+    # past the end, and a lasso's back to its first cycle position
+    nxt = [*range(1, n), len(path.stem) if lasso else n]
+    scan = [*range(n - 1, len(path.stem) - 1, -1)] if lasso else []
+    scan += range(n - 1, -1, -1)
 
-    def ev(f, p: Path):
+    def label(f, kids):
         match f:
             case PProp(name):
-                return name in k.labelling[p.stem[0]]
-            case PNot(sub):
-                return not ev(sub, p)
-            case PAnd(items):
-                return all(ev(g, p) for g in items)
+                return [name in k.labelling[x] for x in seq]
+            case PNot():
+                return [not v for v in kids[0]]
+            case PAnd():
+                return [all(vs) for vs in zip([True] * n, *kids)]
             case PInfinity():
-                return p.kind == "lasso"
-            case PUntil(lhs, rhs):
-                sufs = _suffixes(p)
-                for i, suf in enumerate(sufs):
-                    if ev(rhs, suf):
-                        if all(ev(lhs, before) for before in sufs[:i]):
-                            return True
-                return False
-        raise ValueError(f"not a path formula: {f!r}")
+                return [lasso] * n
+        lhs, rhs = kids
+        out = [False] * (n + 1)     # out[n]: past a finite path's end
+        for i in scan:
+            out[i] = rhs[i] or (lhs[i] and out[nxt[i]])
+        return out[:n]
 
-    return ev(psi, path)
+    labels = {}     # id of a subformula of psi -> its truth at each position
+    stack = [psi]
+    while stack:
+        f = stack[-1]
+        if id(f) in labels:
+            stack.pop()
+            continue
+        kids = _path_children(f)
+        todo = [c for c in kids if id(c) not in labels]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        labels[id(f)] = label(f, [labels[id(c)] for c in kids])
+    return labels[id(psi)][0]
 
 
 def maximal_path_representatives(k: KripkeStructure, s) -> list:
@@ -440,57 +447,38 @@ def _prefix_formula(colours, occurring):
     return f
 
 
-def _seq_at(form, idx):
-    kind = form[0]
-    if kind == "fin":
-        items = form[1]
-        return items[idx] if idx < len(items) else None
-    _, items, cycle = form
-    if idx < len(items):
-        return items[idx]
-    return cycle[(idx - len(items)) % len(cycle)]
+def _unrolled(trace: ColouredTrace, n: int) -> tuple:
+    """The first ``n`` items of the trace's sequence, fewer when it is
+    finite."""
+    items = trace.items
+    if trace.cycle and len(items) < n:
+        items += trace.cycle * -(-(n - len(items)) // len(trace.cycle))
+    return items[:n]
 
 
-def _trace_form(trace: ColouredTrace):
-    if trace.end == LASSO:
-        return ("inf", trace.items, trace.cycle)
-    return ("fin", trace.items)
+def _shortest_differing_prefix(r: ColouredTrace, p: ColouredTrace):
+    """Shortest prefix of ``r``'s sequence that is not a prefix of
+    ``p``'s, or None when ``r``'s is a prefix of (or equal to) ``p``'s."""
+    cap = len(r.items) + len(p.items) + 2 + len(r.cycle) * len(p.cycle)
+    rs, ps = _unrolled(r, cap + 1), _unrolled(p, cap + 1)
+    for i, item in enumerate(rs):
+        if i >= len(ps) or item != ps[i]:
+            return rs[:i + 1]
+    return None
 
 
-def _is_infinite_path(trace: ColouredTrace) -> bool:
-    return trace.end in (DIVERGENCE, LASSO)
-
-
-def _sequences_equal(a, b) -> bool:
-    la = len(a[1]) + (len(a[2]) if a[0] == "inf" else 0)
-    lb = len(b[1]) + (len(b[2]) if b[0] == "inf" else 0)
-    if (a[0] == "fin") != (b[0] == "fin"):
-        return False
-    if a[0] == "fin":
-        return a[1] == b[1]
-    cap = la + lb + len(a[2]) * len(b[2]) + 2
-    return all(_seq_at(a, i) == _seq_at(b, i) for i in range(cap))
-
-
-def _shortest_differing_prefix(r, p):
-    """Shortest prefix of sequence ``r`` that is not a prefix of ``p``,
-    or None when ``r`` is a prefix of (or equal to) ``p``."""
-    r_len = None if r[0] == "inf" else len(r[1])
-    p_len = None if p[0] == "inf" else len(p[1])
-    cap = len(r[1]) + len(p[1]) + 2
-    if r[0] == "inf" and p[0] == "inf":
-        cap += len(r[2]) * len(p[2])
-    idx = 0
-    while True:
-        if r_len is not None and idx >= r_len:
-            return None
-        rc = _seq_at(r, idx)
-        pc = _seq_at(p, idx)
-        if pc is None or rc != pc:
-            return tuple(_seq_at(r, i) for i in range(idx + 1))
-        idx += 1
-        if idx > cap:
-            return None
+def _rejector(pi: ColouredTrace, rho: ColouredTrace, occurring):
+    """A path formula that holds on ``rho``'s paths and fails on
+    ``pi``'s: an infinity literal when the two spell the same sequence
+    and only one of them is infinite, else an anchored prefix."""
+    if (pi.items, pi.cycle) == (rho.items, rho.cycle):
+        return (PInfinity() if rho.end in (DIVERGENCE, LASSO)
+                else PNot(PInfinity()))
+    prefix = _shortest_differing_prefix(rho, pi)
+    if prefix is not None:
+        return _prefix_formula(prefix, occurring)
+    return PNot(_prefix_formula(_shortest_differing_prefix(pi, rho),
+                                occurring))
 
 
 def distinguish_ltl(k: KripkeStructure, s, t, with_infinity: bool,
@@ -501,56 +489,28 @@ def distinguish_ltl(k: KripkeStructure, s, t, with_infinity: bool,
 
     The formula negates a conjunction of per-trace rejectors built from
     anchored nested untils over colour testers; infinity literals settle
-    pure deadlock-versus-divergence differences when enabled.  The
-    result is validated against enumerated maximal-path representatives
-    before being returned.
+    pure deadlock-versus-divergence differences when enabled.  Two traces
+    have the same sequence exactly when their items and cycles are equal,
+    as lassos are canonical.  The result is validated against enumerated
+    maximal-path representatives before being returned.
     """
     occurring = {k.labelling[x] for x in k.states}
-    sides = {}
-    for state in (s, t):
-        traces, _ = complete_traces(k, state, "labelling", bound)
-        sides[state] = traces
+    sides = {x: complete_traces(k, x, "labelling", bound)[0] for x in (s, t)}
 
     def witness_for(a_state, b_state):
-        a_forms = {_trace_form(tr) for tr in sides[a_state]}
+        # each sequence of a_state, with whether its paths are infinite
+        kinds = {}
+        for pi in sides[a_state]:
+            kinds.setdefault((pi.items, pi.cycle), set()).add(
+                pi.end in (DIVERGENCE, LASSO))
         for rho in sorted(sides[b_state],
                           key=lambda tr: (len(tr.items), _step_key(tr.items))):
-            rho_form = _trace_form(rho)
-            seq_match = [f for f in a_forms if _sequences_equal(f, rho_form)]
-            if seq_match and not with_infinity:
+            infinite = rho.end in (DIVERGENCE, LASSO)
+            same = kinds.get((rho.items, rho.cycle))
+            if same is not None and (infinite in same or not with_infinity):
                 continue
-            if seq_match:
-                # only the completion kind can differ; need matching kinds
-                if any(_is_infinite_path(tr) == _is_infinite_path(rho)
-                       and _sequences_equal(_trace_form(tr), rho_form)
-                       for tr in sides[a_state]):
-                    continue
-            conjuncts = []
-            ok = True
-            for pi in sides[a_state]:
-                pi_form = _trace_form(pi)
-                if _sequences_equal(pi_form, rho_form):
-                    if not with_infinity:
-                        ok = False
-                        break
-                    conjuncts.append(
-                        PInfinity() if _is_infinite_path(rho)
-                        else PNot(PInfinity()))
-                    continue
-                prefix = _shortest_differing_prefix(rho_form, pi_form)
-                if prefix is not None:
-                    conjuncts.append(_prefix_formula(prefix, occurring))
-                    continue
-                prefix = _shortest_differing_prefix(pi_form, rho_form)
-                if prefix is None:
-                    ok = False
-                    break
-                conjuncts.append(PNot(_prefix_formula(prefix, occurring)))
-            if not ok:
-                continue
-            conjuncts = list(dict.fromkeys(conjuncts))
-            if not conjuncts:
-                continue
+            conjuncts = list(dict.fromkeys(
+                _rejector(pi, rho, occurring) for pi in sides[a_state]))
             formula = PNot(conjuncts[0] if len(conjuncts) == 1
                            else PAnd(tuple(conjuncts)))
             if _verify_witness(k, formula, a_state, b_state):

@@ -312,8 +312,7 @@ def sat_many(k: KripkeStructure, formulas, semantics: Semantics) -> list:
 
 
 def check(k: KripkeStructure, state, phi, semantics: Semantics) -> bool:
-    if state not in set(k.states):
-        raise ValueError(f"unknown state {state!r}")
+    k.check_state(state)
     return state in sat(k, phi, semantics)
 
 
@@ -405,18 +404,18 @@ def distinguish(k: KripkeStructure, s, t,
     existential until over block-characterising formulas; splits by the
     divergence or completion bit yield an infinite-globally or globally
     formula.  Check divergence-blind formulas under the divergence-blind
-    semantics and the others under maximal-path semantics.
+    semantics and the others under maximal-path semantics.  The
+    characterising formulas are built on an explicit stack, so no number
+    of rounds is too deep.
     """
-    for x in (s, t):
-        if x not in set(k.states):
-            raise ValueError(f"unknown state {x!r}")
+    k.check_state(s)
+    k.check_state(t)
     history = equivalences.refinement_history(k, variant)
     final, _ = history[-1]
     if final.same_block(s, t):
         return None
 
     order = {st: i for i, st in enumerate(k.states)}
-    char_cache = {}
 
     def rep(level, bid):
         return min(history[level][0].blocks[bid], key=order.get)
@@ -430,27 +429,23 @@ def distinguish(k: KripkeStructure, s, t,
         return Not(Prop(missing[0]))
 
     def charf(u, level):
-        """True exactly on the states of u's block at the given round."""
+        """True exactly on the states of u's block at the given round.
+
+        This and ``split_formula`` are generators: each ``yield (x, l)``
+        asks ``build`` for ``charf(x, l)`` and receives the formula."""
         part = history[level][0]
-        key = (level, part.block_of[u])
-        if key in char_cache:
-            return char_cache[key]
         if level == 0:
-            conj = []
-            for bid, block in enumerate(part.blocks):
-                if bid != part.block_of[u]:
-                    conj.append(label_literal(u, rep(0, bid)))
-            out = conj[0] if len(conj) == 1 else And(tuple(conj))
+            conj = [label_literal(u, rep(0, bid))
+                    for bid in range(len(part.blocks))
+                    if bid != part.block_of[u]]
         else:
             prev = history[level - 1][0]
-            conj = [charf(u, level - 1)]
-            for bid, block in enumerate(part.blocks):
+            conj = [(yield u, level - 1)]
+            for bid in range(len(part.blocks)):
                 w = rep(level, bid)
                 if bid != part.block_of[u] and prev.same_block(u, w):
-                    conj.append(split_formula(u, w, level))
-            out = conj[0] if len(conj) == 1 else And(tuple(conj))
-        char_cache[key] = out
-        return out
+                    conj.append((yield from split_formula(u, w, level)))
+        return conj[0] if len(conj) == 1 else And(tuple(conj))
 
     def split_formula(u, w, level):
         """True at u's sub-block, false at w's, for a round-``level``
@@ -461,30 +456,52 @@ def distinguish(k: KripkeStructure, s, t,
                        key=lambda o: (str(o[0]), o[1]))
         if extra:
             _, bid = extra[0]
-            return ExistsUntil(charf(u, level - 1),
-                               charf(rep(level - 1, bid), level - 1))
+            return ExistsUntil((yield u, level - 1),
+                               (yield rep(level - 1, bid), level - 1))
         missing = sorted(sw.observations - su.observations,
                          key=lambda o: (str(o[0]), o[1]))
         if missing:
             _, bid = missing[0]
-            return Not(ExistsUntil(charf(w, level - 1),
-                                   charf(rep(level - 1, bid), level - 1)))
+            return Not(ExistsUntil((yield w, level - 1),
+                                   (yield rep(level - 1, bid), level - 1)))
         if su.divergent != sw.divergent:
             if su.divergent:
-                return ExistsGInf(charf(u, level - 1))
-            return Not(ExistsGInf(charf(w, level - 1)))
+                return ExistsGInf((yield u, level - 1))
+            return Not(ExistsGInf((yield w, level - 1)))
         if su.completable != sw.completable:
             if su.completable:
-                return ExistsG(charf(u, level - 1))
-            return Not(ExistsG(charf(w, level - 1)))
+                return ExistsG((yield u, level - 1))
+            return Not(ExistsG((yield w, level - 1)))
         raise AssertionError("states split without a signature difference")
+
+    def build(gen):
+        """Run ``gen`` on an explicit stack of generators, each running
+        ``charf`` for one ``(level, block)`` key, whose formula is kept."""
+        char_cache = {}
+        stack = [(gen, None)]
+        value = None
+        while stack:
+            top, key = stack[-1]
+            try:
+                u, level = top.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                if key is not None:
+                    char_cache[key] = value
+                continue
+            key = (level, history[level][0].block_of[u])
+            value = char_cache.get(key)
+            if value is None:
+                stack.append((charf(u, level), key))
+        return value
 
     for level in range(len(history)):
         part = history[level][0]
         if not part.same_block(s, t):
             if level == 0:
                 return label_literal(s, t)
-            return split_formula(s, t, level)
+            return build(split_formula(s, t, level))
     raise AssertionError("unreachable: states differ in the final partition")
 
 

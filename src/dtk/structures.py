@@ -73,6 +73,11 @@ class _StateGraph:
     def adjacency(self) -> Adjacency:
         return Adjacency.build(self.states, self.transitions)
 
+    def check_state(self, x):
+        """Raise ValueError unless ``x`` is a declared state."""
+        if x not in self.adjacency.succ:
+            raise ValueError(f"unknown state {x!r}")
+
     def _check_transitions(self):
         """Reject malformed steps and steps that leave the declared
         states; drop duplicates."""

@@ -230,6 +230,28 @@ def test_unknown_state_exits_2(capsys, merge_lts):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command, suffix", [
+    ("check-equiv", ""), ("model-check", ""), ("distinguish", ""),
+    ("compose", " in {model}"), ("traces", "")])
+def test_unknown_state_message(capsys, stutter_ks, merge_lts, command, suffix):
+    model = merge_lts if command == "compose" else stutter_ks
+    argv = {
+        "check-equiv": ("--kind", "ks", "--variant", "ed",
+                        "--state", "s", "--state", "nope"),
+        "model-check": ("--formula", "~(", "--state", "nope"),
+        "distinguish": ("--variant", "ed", "--state-a", "s",
+                        "--state-b", "nope"),
+        "compose": ("--left", f"{merge_lts}:0", "--right", f"{model}:nope"),
+        "traces": ("--kind", "ks", "--state", "nope"),
+    }[command]
+    if command != "compose":
+        argv = ("--model", model) + argv
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: unknown state 'nope'" + suffix.format(
+        model=model)
+
+
 def test_check_equiv_checks_states_before_the_oracle(capsys, tmp_path):
     # nine states: past the oracle's bound, so a late check would report that
     path = tmp_path / "nine.lts"

@@ -9,10 +9,9 @@ from dtk import figures
 from dtk.compose import merge
 from dtk.equivalences import (
     EquivVariant,
-    coarsest_partition_ks,
     coarsest_partition_lts,
 )
-from dtk.generators import random_acyclic_lts, random_ks, random_lts
+from dtk.generators import random_acyclic_lts, random_ks
 from dtk.linear import (
     DEADLOCK,
     DIVERGENCE,
@@ -20,17 +19,12 @@ from dtk.linear import (
     OPEN,
     PREFIX,
     ColouredTrace,
-    LtlWitness,
-    PAnd,
     PInfinity,
     PNot,
     PProp,
     PUntil,
     P_TRUE,
     TraceVariant,
-    _canonical_lasso,
-    _colouring_fn,
-    _flatten,
     coloured_traces,
     complete_traces,
     distinguish_ltl,
@@ -43,6 +37,13 @@ from dtk.linear import (
     trace_from_actions,
 )
 from dtk.structures import KripkeStructure, Lts, Path, TAU
+from tests_helpers import (
+    every_colouring,
+    path_search_traces,
+    random_lasso_ks,
+    random_path_formula,
+    trace_graphs,
+)
 
 
 def lts_traces(l, s, bound=6):
@@ -129,104 +130,23 @@ def test_bound_must_be_positive():
         complete_traces(l, "a", "trivial", 0)
 
 
+def test_unknown_state_is_a_value_error():
+    l = Lts(("a",), (TAU,), ())
+    for search in (complete_traces, coloured_traces):
+        with pytest.raises(ValueError, match="unknown state 'nope'"):
+            search(l, "nope", "trivial", 3)
+
+
 # --- the search against a plain path search ---------------------------------
-
-def _path_search_traces(g, s, colouring, bound):
-    """Reference: a recursive search over every maximal path, which
-    consults the current path at every state (no configuration is
-    skipped)."""
-    colour = _colouring_fn(g, colouring)
-    edges = g.adjacency.succ
-    is_lts = isinstance(g, Lts)
-    emitted = set()
-    open_seen = [False]
-    start = colour(s)
-
-    def emit(steps, end, cycle=()):
-        items = (start,) + _flatten(steps, is_lts)
-        emitted.add(ColouredTrace(items, end, _flatten(cycle, is_lts)))
-
-    def explore(u, steps, onpath):
-        if u in onpath:
-            prev = onpath[u]
-            if prev == len(steps):
-                emit(steps, DIVERGENCE)
-                return
-            stem, cycle = _canonical_lasso(steps[:prev], steps[prev:])
-            emit(stem, LASSO, cycle)
-        if not edges[u]:
-            emit(steps, DEADLOCK)
-            return
-        saved = onpath.get(u)
-        onpath[u] = len(steps)
-        for (a, v) in edges[u]:
-            cv = colour(v)
-            if a in (None, TAU) and cv == colour(u):
-                explore(v, steps, onpath)
-            elif len(steps) >= bound:
-                emit(steps, OPEN)
-                open_seen[0] = True
-            else:
-                explore(v, steps + [(a, cv)], onpath)
-        if saved is None:
-            del onpath[u]
-        else:
-            onpath[u] = saved
-
-    explore(s, [], {})
-    return emitted, not open_seen[0]
-
-
-_LABELS = st.sampled_from((TAU, TAU, "a", "b"))
-
-
-@st.composite
-def trace_graphs(draw):
-    """Up to 7 states with τ-cycles, self-loops and deadlocks, or an
-    acyclic chain of diamonds; an LTS or a Kripke structure."""
-    if draw(st.booleans()):
-        states, transitions = ["d0"], []
-        for j in range(draw(st.integers(1, 3))):
-            start, left, right, join = (f"d{3 * j + k}" for k in range(4))
-            states += [left, right, join]
-            for mid in (left, right):
-                transitions += [(start, draw(_LABELS), mid),
-                                (mid, draw(_LABELS), join)]
-    else:
-        states = [f"s{i}" for i in range(draw(st.integers(1, 7)))]
-        transitions = []
-        for u in states:
-            shape = draw(st.sampled_from(("dead", "loop", "step", "step")))
-            if shape == "dead":
-                continue
-            if shape == "loop":
-                transitions.append((u, TAU, u))
-            for _ in range(draw(st.integers(1, 2))):
-                v = draw(st.sampled_from(states))
-                transitions.append((u, draw(_LABELS), v))
-    transitions = list(dict.fromkeys(transitions))
-    if draw(st.booleans()):
-        return Lts(tuple(states), (TAU,), tuple(transitions))
-    labelling = {u: draw(st.sampled_from((frozenset(), frozenset({"p"}))))
-                 for u in states}
-    return KripkeStructure(tuple(states), labelling, tuple(dict.fromkeys(
-        (u, v) for (u, _, v) in transitions)))
-
 
 @settings(max_examples=300, deadline=None)
 @given(trace_graphs(), st.data())
 def test_complete_traces_match_path_search(g, data):
     s = data.draw(st.sampled_from(g.states))
     bound = data.draw(st.integers(1, 5))
-    if isinstance(g, Lts):
-        colourings = ["trivial"] + [coarsest_partition_lts(g, v)
-                                    for v in EquivVariant]
-    else:
-        colourings = ["trivial", "labelling"] + [coarsest_partition_ks(g, v)
-                                                 for v in EquivVariant]
-    for colouring in colourings:
+    for colouring in every_colouring(g):
         assert (complete_traces(g, s, colouring, bound)
-                == _path_search_traces(g, s, colouring, bound))
+                == path_search_traces(g, s, colouring, bound))
 
 
 # --- prefix property and completeness characterisation ------------------------
@@ -347,6 +267,17 @@ def test_infinity_true_on_lasso():
     assert eval_path_formula(k, PUntil(P_TRUE, PProp("p")), path)
 
 
+def test_deeply_nested_path_formula():
+    k = KripkeStructure(("a", "b"), {"a": {"p"}, "b": set()},
+                        (("a", "b"), ("b", "a")))
+    path = Path("lasso", ("a",), ("b", "a"))
+    psi = PUntil(P_TRUE, PNot(PProp("p")))
+    for _ in range(3000):
+        psi = PNot(psi)
+    assert eval_path_formula(k, psi, path)
+    assert not eval_path_formula(k, PNot(psi), path)
+
+
 def test_eval_rejects_non_maximal_paths():
     k = _chain_ks()
     with pytest.raises(ValueError):
@@ -355,45 +286,11 @@ def test_eval_rejects_non_maximal_paths():
         eval_path_formula(k, P_TRUE, Path("finite", ("a", "c")))
 
 
-def _random_path_formula(rng, props, depth):
-    if depth == 0:
-        r = rng.random()
-        if r < 0.2:
-            return PInfinity()
-        return PProp(rng.choice(props))
-    kind = rng.choice(["not", "and", "until", "atom"])
-    if kind == "atom":
-        return _random_path_formula(rng, props, 0)
-    if kind == "not":
-        return PNot(_random_path_formula(rng, props, depth - 1))
-    if kind == "and":
-        return PAnd((
-            _random_path_formula(rng, props, depth - 1),
-            _random_path_formula(rng, props, depth - 1)))
-    return PUntil(
-        _random_path_formula(rng, props, depth - 1),
-        _random_path_formula(rng, props, depth - 1))
-
-
-def _random_lasso_ks(rng):
-    n = rng.randint(1, 4)
-    m = rng.randint(1, 3)
-    states = tuple(f"n{i}" for i in range(n + m))
-    labelling = {
-        s: {p for p in ("p", "q") if rng.random() < 0.5} for s in states
-    }
-    stem = states[:n]
-    cycle = states[n:]
-    edges = list(zip(states, states[1:])) + [(states[-1], cycle[0])]
-    k = KripkeStructure(states, labelling, tuple(edges))
-    return k, Path("lasso", stem, cycle)
-
-
 def test_stuttering_invariance_of_path_formulas():
     rng = random.Random(74)
     for _ in range(500):
-        k, path = _random_lasso_ks(rng)
-        psi = _random_path_formula(rng, ["p", "q"], rng.randint(1, 3))
+        k, path = random_lasso_ks(rng)
+        psi = random_path_formula(rng, ["p", "q"], rng.randint(1, 3))
         before = eval_path_formula(k, psi, path)
         # duplicating a stem state stutters the path without changing
         # its contraction

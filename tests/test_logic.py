@@ -295,6 +295,18 @@ def test_distinguish_verified_on_random_ks():
     assert all(n >= 50 for n in pairs_checked.values())
 
 
+def test_distinguish_on_a_long_chain():
+    # one refinement round per state: deeper than Python's recursion limit
+    n = 1200
+    states = tuple(f"c{i}" for i in range(n))
+    k = KripkeStructure(
+        states, {s: {"pq"[i % 2]} for i, s in enumerate(states)},
+        tuple(zip(states, states[1:])))
+    phi = distinguish(k, "c0", "c2", EquivVariant.EXPLICIT_DIVERGENCE)
+    holds = sat(k, phi, MAX)
+    assert "c0" in holds and "c2" not in holds
+
+
 def test_class_closure_smoke():
     rng = random.Random(9)
     for _ in range(10):
