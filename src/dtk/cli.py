@@ -9,7 +9,6 @@ in a versioned envelope.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -60,6 +59,7 @@ def _load_model(path, kind, allow_delta=False):
 
 def _emit(args, command, result, plain_lines):
     if getattr(args, "json", False):
+        import json     # only --json pays for it
         print(json.dumps({"version": 1, "command": command, "result": result},
                          sort_keys=True))
     else:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 
 # only merge runs on the command line; the experiments below reach the
 # other engines through their modules, which load on first use
 from . import equivalences, figures, generators, linear
-from .structures import Lts, TAU, disjoint_union_lts, fresh_name
+from .structures import Lts, TAU, Value, disjoint_union_lts, fresh_name
 
 
 def merge(l1: Lts, s, l2: Lts, t):
@@ -68,14 +67,11 @@ def merged_pair_system(l1: Lts, s, l2: Lts, t, l3: Lts, s2, l4: Lts, t2):
     return union, root_left, map2[root_right]
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Value):
     """The four verdicts of the deadlock/livelock composition experiment."""
 
-    components_ds_equivalent: bool
-    products_ds_equivalent: bool
-    products_db_equivalent: bool
-    components_ed_equivalent: bool
+    __match_args__ = ("components_ds_equivalent", "products_ds_equivalent",
+                      "products_db_equivalent", "components_ed_equivalent")
 
     @property
     def matches_expected(self) -> bool:
@@ -121,13 +117,8 @@ def distinguishing_completion_trace(bound: int = 3):
     return dead_traces, live_traces
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    variant: equivalences.EquivVariant
-    trials: int
-    passed: int
-    failures: tuple
-    seed: int
+class SampleReport(Value):
+    __match_args__ = ("variant", "trials", "passed", "failures", "seed")
 
 
 def congruence_sample(variant: equivalences.EquivVariant, trials: int,
@@ -163,12 +154,9 @@ def congruence_sample(variant: equivalences.EquivVariant, trials: int,
     return SampleReport(variant, trials, passed, tuple(failures), seed)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    pair_ed_equivalent: bool
-    context_ds_results: tuple
-    fresh_action: str
-    fresh_context_ds: bool
+class ProbeReport(Value):
+    __match_args__ = ("pair_ed_equivalent", "context_ds_results",
+                      "fresh_action", "fresh_context_ds")
 
     @property
     def biconditional_holds(self) -> bool:

@@ -42,11 +42,10 @@ result is canonicalised once, at the end.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 from .graphs import strongly_connected_components
-from .structures import KripkeStructure, Lts, TAU
+from .structures import KripkeStructure, Lts, TAU, Value
 
 
 class EquivVariant(Enum):
@@ -55,29 +54,24 @@ class EquivVariant(Enum):
     EXPLICIT_DIVERGENCE = "ed"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A colouring of states, canonicalised: block ids are dense and
     assigned by first occurrence in state declaration order."""
 
-    block_of: dict
-    blocks: tuple
+    __match_args__ = ("block_of", "blocks")
 
     @staticmethod
     def from_blocks(blocks, state_order):
-        order = {s: i for i, s in enumerate(state_order)}
-        keyed = sorted(blocks, key=lambda b: min(order[s] for s in b))
-        block_of = {}
-        out = []
-        for i, b in enumerate(keyed):
-            members = tuple(sorted(b, key=lambda s: order[s]))
-            out.append(frozenset(members))
-            for s in members:
-                block_of[s] = i
-        covered = set(block_of)
-        if covered != set(state_order) or sum(len(b) for b in out) != len(order):
+        index = {}
+        for i, b in enumerate(blocks):
+            if not b:
+                raise ValueError("blocks do not partition the state set")
+            for s in b:
+                if index.setdefault(s, i) != i:
+                    raise ValueError("blocks do not partition the state set")
+        if index.keys() != set(state_order):
             raise ValueError("blocks do not partition the state set")
-        return Partition(block_of, tuple(out))
+        return _partition(state_order, [index[s] for s in state_order])
 
     def same_block(self, s, t) -> bool:
         return self.block_of[s] == self.block_of[t]
@@ -142,13 +136,16 @@ def _labels(g):
 _SILENT = frozenset((None, TAU))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """One refinement-round summary of a state."""
 
-    observations: frozenset
-    divergent: bool | None
-    completable: bool | None
+    __match_args__ = ("observations", "divergent", "completable")
+
+    def __init__(self, observations, divergent, completable):
+        d = self.__dict__
+        d["observations"] = observations
+        d["divergent"] = divergent
+        d["completable"] = completable
 
 
 class _IntGraph:
@@ -217,20 +214,23 @@ def _block_signatures(members, block, view, variant):
 
 class _Signatures(Mapping):
     """Every state's ``Signature`` over a partition, as a read-only
-    mapping.  The first lookup of a state runs the block kernel over its
-    whole block and decodes the observations to ``(action, block id)``."""
+    mapping.  The first lookup of a state runs the block kernel over the
+    states it reaches by inert steps, which are all its signature depends
+    on, and decodes the observations to ``(action, block id)``.  A later
+    lookup may walk some of those states again; ``distinguish`` reads a
+    few states of a round, which on a long history costs far less than a
+    pass over each of their blocks."""
 
-    def __init__(self, g, part, variant, view=None):
+    def __init__(self, g, part, variant, view):
         self._states = g.states
-        self._part = part
         self._variant = variant
-        self._view = view or _IntGraph(g)
-        self._block = [part.block_of[s] for s in g.states]
+        self._view = view
+        self._block = list(map(part.block_of.__getitem__, g.states))
         self._sigs = {}
 
     def __getitem__(self, s):
         if s not in self._sigs:
-            self._compute(self._part.blocks[self._part.block_of[s]])
+            self._compute(s)
         return self._sigs[s]
 
     def __iter__(self):
@@ -239,15 +239,24 @@ class _Signatures(Mapping):
     def __len__(self):
         return len(self._states)
 
-    def _compute(self, members):
+    def _compute(self, s):
         view = self._view
+        block = self._block
+        steps = view.steps
+        start = view.number[s]
+        own = block[start]
+        reach, seen = [start], {start}
+        for u in reach:
+            for (silent, _, v) in steps[u]:
+                if silent and block[v] == own and v not in seen:
+                    seen.add(v)
+                    reach.append(v)
         actions = view.actions
         width = len(actions)
         # members of an SCC share one tuple; decode it once
         decoded = {}
         for u, (obs, div, comp) in _block_signatures(
-                [view.number[s] for s in members], self._block, view,
-                self._variant).items():
+                reach, block, view, self._variant).items():
             key = id(obs), div, comp
             sig = decoded.get(key)
             if sig is None:
@@ -267,11 +276,20 @@ def _initial_blocks(g):
 
 
 def _partition(states, block) -> Partition:
-    """The canonical ``Partition`` of per-state block ids."""
-    groups = {}
+    """The canonical ``Partition`` of per-state block ids, in one pass:
+    a block's canonical id is the number of blocks met before its first
+    member, and its members arrive in declaration order."""
+    canonical = {}
+    members = []
+    block_of = {}
     for s, b in zip(states, block):
-        groups.setdefault(b, []).append(s)
-    return Partition.from_blocks(groups.values(), states)
+        i = canonical.get(b)
+        if i is None:
+            i = canonical[b] = len(members)
+            members.append([])
+        members[i].append(s)
+        block_of[s] = i
+    return Partition(block_of, tuple(map(frozenset, members)))
 
 
 def _rounds(g, variant: EquivVariant, view=None):
@@ -381,9 +399,13 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
             labs = {labels[s] for s in block}
             if len(labs) > 1:
                 return False
-    sigs = _Signatures(g, p, variant)
-    for block in p.blocks:
-        if len({sigs[s] for s in block}) > 1:
+    # every signature is read, so each block takes one whole kernel pass
+    view = _IntGraph(g)
+    block = [p.block_of[s] for s in g.states]
+    for members in p.blocks:
+        sigs = _block_signatures([view.number[s] for s in members], block,
+                                 view, variant)
+        if len(set(sigs.values())) > 1:
             return False
     return True
 
@@ -447,8 +469,15 @@ def divergent_states(g, p: Partition) -> set:
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
-    sigs = _Signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
-    return {s for s, sig in sigs.items() if sig.divergent}
+    # every signature is read, so each block takes one whole kernel pass
+    view = _IntGraph(g)
+    block = [p.block_of[s] for s in g.states]
+    found = set()
+    for members in p.blocks:
+        sigs = _block_signatures([view.number[s] for s in members], block,
+                                 view, EquivVariant.EXPLICIT_DIVERGENCE)
+        found.update(g.states[u] for u, (_, div, _) in sigs.items() if div)
+    return found
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

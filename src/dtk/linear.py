@@ -22,14 +22,13 @@ the same sequence exactly when their ``items`` and ``cycle`` are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 from . import equivalences
 from .graphs import tarjan_cycle_states
 from .structures import (
-    KripkeStructure, Lts, Path, TAU, path_is_maximal, path_is_valid)
+    KripkeStructure, Lts, Path, TAU, Value, path_is_maximal, path_is_valid)
 
 OPEN = "open"
 DEADLOCK = "deadlock"
@@ -40,8 +39,7 @@ PREFIX = "prefix"
 TRIVIAL_COLOUR = "*"
 
 
-@dataclass(frozen=True)
-class ColouredTrace:
+class ColouredTrace(Value):
     """Alternating colour/action sequence with a completion marker.
 
     ``items`` is ``(c0, a1, c1, ...)`` for an LTS and ``(c0, c1, ...)``
@@ -49,16 +47,16 @@ class ColouredTrace:
     lasso in the same flattened form.
     """
 
-    items: tuple
-    end: str
-    cycle: tuple = ()
+    __match_args__ = ("items", "end", "cycle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        if self.end not in (OPEN, DEADLOCK, DIVERGENCE, LASSO, PREFIX):
-            raise ValueError(f"bad end marker {self.end!r}")
-        if (self.end == LASSO) != bool(self.cycle):
+    def __init__(self, items, end, cycle=()):
+        d = self.__dict__
+        d["items"] = tuple(items)
+        d["end"] = end
+        d["cycle"] = cycle = tuple(cycle)
+        if end not in (OPEN, DEADLOCK, DIVERGENCE, LASSO, PREFIX):
+            raise ValueError(f"bad end marker {end!r}")
+        if (end == LASSO) != bool(cycle):
             raise ValueError("cycle is present exactly on lasso traces")
 
 
@@ -211,11 +209,14 @@ class TraceVariant(Enum):
     WITH_DEADLOCK = "dd"
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
-    equal: bool
-    exact: bool
-    witness: tuple = ()
+class TraceVerdict(Value):
+    __match_args__ = ("equal", "exact", "witness")
+
+    def __init__(self, equal, exact, witness=()):
+        d = self.__dict__
+        d["equal"] = equal
+        d["exact"] = exact
+        d["witness"] = witness
 
     def __bool__(self):
         return self.equal
@@ -275,32 +276,37 @@ def trace_equiv(g, s, t, variant: TraceVariant, bound: int = 12) -> TraceVerdict
 # Path formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PProp:
-    name: str
+class PProp(Value):
+    __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class PNot:
-    sub: object
+class PNot(Value):
+    __match_args__ = ("sub",)
+
+    def __init__(self, sub):
+        self.__dict__["sub"] = sub
 
 
-@dataclass(frozen=True)
-class PAnd:
-    items: tuple
+class PAnd(Value):
+    __match_args__ = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
-
-@dataclass(frozen=True)
-class PUntil:
-    lhs: object
-    rhs: object
+    def __init__(self, items):
+        self.__dict__["items"] = tuple(items)
 
 
-@dataclass(frozen=True)
-class PInfinity:
+class PUntil(Value):
+    __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        d = self.__dict__
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+
+
+class PInfinity(Value):
     pass
 
 
@@ -410,14 +416,11 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
 # Linear-time distinguishing formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LtlWitness:
+class LtlWitness(Value):
     """A separating path formula: every maximal path from ``holds_from``
     satisfies it, some maximal path from ``fails_from`` does not."""
 
-    formula: object
-    holds_from: str
-    fails_from: str
+    __match_args__ = ("formula", "holds_from", "fails_from")
 
 
 def _colour_tester(colour, occurring):

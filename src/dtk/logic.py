@@ -22,64 +22,85 @@ is one loop over the tokens, so no formula is too deep for either.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
 from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
-from .structures import DELTA_PROP, KripkeStructure
+from .structures import DELTA_PROP, KripkeStructure, Value
 
 
 class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Prop:
-    name: str
+class Prop(Value):
+    __match_args__ = ("name",)
+
+    def __init__(self, name):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: object
+class _Unary(Value):
+    __match_args__ = ("sub",)
+
+    def __init__(self, sub):
+        self.__dict__["sub"] = sub
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+class Not(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class ExistsUntil:
-    lhs: object
-    rhs: object
+class And(Value):
+    __match_args__ = ("items",)
+
+    def __init__(self, items):
+        self.__dict__["items"] = tuple(items)
 
 
-@dataclass(frozen=True)
-class ExistsG:
-    sub: object
+class ExistsUntil(Value):
+    __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        d = self.__dict__
+        d["lhs"] = lhs
+        d["rhs"] = rhs
 
 
-@dataclass(frozen=True)
-class ExistsGInf:
-    sub: object
+class ExistsG(_Unary):
+    pass
+
+
+class ExistsGInf(_Unary):
+    pass
 
 
 TRUE = And(())
 FALSE = Not(TRUE)
 
 
+def _new(kind, *args):
+    """A new node: ``args`` are an And's items, else its fields."""
+    return kind(args) if kind is And else kind(*args)
+
+
+# the sugar, over a node constructor such as ``_new``
+def _or(node, a, b):
+    return node(Not, node(And, node(Not, a), node(Not, b)))
+
+
+def _all_g(node, sub):
+    return node(Not, node(ExistsUntil, TRUE, node(Not, sub)))
+
+
 def Or(a, b):
-    return Not(And((Not(a), Not(b))))
+    return _or(_new, a, b)
 
 
 def AllG(sub):
     """No maximal path escapes ``sub``: ~E(true U ~sub)."""
-    return Not(ExistsUntil(TRUE, Not(sub)))
+    return _all_g(_new, sub)
 
 
 class Semantics(Enum):
@@ -145,9 +166,12 @@ _TOKEN = re.compile(r"([()~&|]|[\w.]+)|\S")   # a token, or a bad character
 _KEYWORDS = {"true", "false", "E", "EG", "EGinf", "EF", "AG", "AF", "U"}
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 _PREFIXES = {
-    "~": Not, "EG": ExistsG, "EGinf": ExistsGInf, "AG": AllG,
-    "EF": lambda f: ExistsUntil(TRUE, f),
-    "AF": lambda f: Not(ExistsG(Not(f))),
+    "~": lambda node, f: node(Not, f),
+    "EG": lambda node, f: node(ExistsG, f),
+    "EGinf": lambda node, f: node(ExistsGInf, f),
+    "AG": _all_g,
+    "EF": lambda node, f: node(ExistsUntil, TRUE, f),
+    "AF": lambda node, f: node(Not, node(ExistsG, node(Not, f))),
 }
 
 
@@ -177,8 +201,21 @@ def parse_formula(text: str):
     """Parse the ASCII grammar; EF/AG/AF, "false" and "|" are sugar.
 
     ``&`` binds tighter than ``|``, which groups to the left; a prefix
-    operator applies to the operand after it.
+    operator applies to the operand after it.  The result is a DAG: equal
+    subformulas are one node, found as they are built by their kind and
+    their children's ids (a proposition by its name).
     """
+    made = {(And,): TRUE, (Not, id(TRUE)): FALSE}
+    props = {}
+
+    def node(kind, *kids):
+        key = ((kind, id(kids[0])) if len(kids) == 1
+               else (kind, *map(id, kids)))
+        found = made.get(key)
+        if found is None:
+            found = made[key] = _new(kind, *kids)
+        return found
+
     tokens = iter(_tokenize(text))
     stack = [_Group(None)]
     phi = None          # an operand read, waiting for the token after it
@@ -204,10 +241,12 @@ def parse_formula(text: str):
             elif tok in (")", "&", "|"):
                 raise FormulaError(f"unexpected {tok!r} at position {at}")
             else:
-                phi = Prop(tok)
+                phi = props.get(tok)
+                if phi is None:
+                    phi = props[tok] = Prop(tok)
             continue
         while group.prefixes:
-            phi = group.prefixes.pop()(phi)
+            phi = group.prefixes.pop()(node, phi)
         group.terms[-1].append(phi)
         phi = None
         if tok == "&":
@@ -221,15 +260,16 @@ def parse_formula(text: str):
             raise FormulaError(
                 f"expected {group.closer!r} at position {at}, got {tok!r}")
         stack.pop()
-        phi = reduce(Or, (c[0] if len(c) == 1 else And(tuple(c))
-                          for c in group.terms))
+        phi = reduce(lambda a, b: _or(node, a, b),
+                     (c[0] if len(c) == 1 else node(And, *c)
+                      for c in group.terms))
         if group.closer is None:
             return phi
         if group.closer == "U":
             stack.append(_Group(")", lhs=phi))
             phi = None
         elif group.lhs is not None:
-            phi = ExistsUntil(group.lhs, phi)
+            phi = node(ExistsUntil, group.lhs, phi)
 
 
 def _render(f, kids):
@@ -415,10 +455,30 @@ def distinguish(k: KripkeStructure, s, t,
     if final.same_block(s, t):
         return None
 
-    order = {st: i for i, st in enumerate(k.states)}
+    levels = {}
+
+    def level_index(level):
+        """The first-declared member of each block of a round, and the
+        blocks inside each block of the round before that split, in
+        ascending id: one pass over the states, as canonical block ids
+        count first occurrences in declaration order."""
+        found = levels.get(level)
+        if found is None:
+            block_of = history[level][0].block_of
+            before = history[level - 1][0].block_of if level else block_of
+            firsts, inside = [], {}
+            for x in k.states:
+                if block_of[x] == len(firsts):
+                    inside.setdefault(before[x], []).append(len(firsts))
+                    firsts.append(x)
+            # most blocks do not split; only the index of those that do
+            # is kept for the rest of the run
+            split = {b: ids for b, ids in inside.items() if len(ids) > 1}
+            found = levels[level] = firsts, split
+        return found
 
     def rep(level, bid):
-        return min(history[level][0].blocks[bid], key=order.get)
+        return level_index(level)[0][bid]
 
     def label_literal(u, w):
         lu, lw = k.labelling[u], k.labelling[w]
@@ -433,18 +493,20 @@ def distinguish(k: KripkeStructure, s, t,
 
         This and ``split_formula`` are generators: each ``yield (x, l)``
         asks ``build`` for ``charf(x, l)`` and receives the formula."""
-        part = history[level][0]
+        own = history[level][0].block_of[u]
         if level == 0:
-            conj = [label_literal(u, rep(0, bid))
-                    for bid in range(len(part.blocks))
-                    if bid != part.block_of[u]]
+            firsts = level_index(0)[0]
+            conj = [label_literal(u, w)
+                    for bid, w in enumerate(firsts) if bid != own]
         else:
-            prev = history[level - 1][0]
+            firsts, split = level_index(level)
             conj = [(yield u, level - 1)]
-            for bid in range(len(part.blocks)):
-                w = rep(level, bid)
-                if bid != part.block_of[u] and prev.same_block(u, w):
-                    conj.append((yield from split_formula(u, w, level)))
+            # only blocks split off u's block of the round before differ;
+            # a block that did not split holds only u's own
+            for bid in split.get(history[level - 1][0].block_of[u], ()):
+                if bid != own:
+                    conj.append((yield from split_formula(
+                        u, firsts[bid], level)))
         return conj[0] if len(conj) == 1 else And(tuple(conj))
 
     def split_formula(u, w, level):

@@ -8,9 +8,8 @@ for every deterministic ordering in the toolkit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 TAU = "tau"
 DELTA_PROP = "delta"
@@ -37,8 +36,61 @@ def _dedup(seq):
     return tuple(dict.fromkeys(seq))
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Value:
+    """Base of the toolkit's immutable value types.
+
+    A subclass names its fields once, in ``__match_args__``; the base
+    ``__init__`` stores them, given by position or by name, in the
+    instance ``__dict__``.  A subclass whose fields convert, validate or
+    have defaults, or whose constructor is hot, writes its own.  Instances
+    are equal when their types and fields are, hash by type and fields,
+    print as ``Name(field=value, ...)`` and refuse assignment.  The
+    instance ``__dict__`` stays, so ``cached_property`` and
+    ``copy.deepcopy`` work.
+    """
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__
+        # one call reads every field (a bare value when there is one)
+        cls._fields = (attrgetter(*names) if names
+                       else staticmethod(lambda value: ()))
+        cls._salt = hash(cls.__qualname__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        values = dict(zip(names, args), **kwargs)
+        # each field exactly once: no field missing, repeated or unknown
+        if (len(args) + len(kwargs) != len(names)
+                or values.keys() != set(names)):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                            f"{', '.join(names) or 'none'}")
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self)) ^ self._salt
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Adjacency(Value):
     """Per-state successor and predecessor lists of a state graph.
 
     ``succ[s]`` holds ``(action, target)`` pairs and ``pred[s]`` holds
@@ -47,9 +99,7 @@ class Adjacency:
     successors in declaration order.  The lists are shared: read only.
     """
 
-    succ: dict
-    pred: dict
-    deadlocks: tuple
+    __match_args__ = ("succ", "pred", "deadlocks")
 
     @staticmethod
     def build(states, transitions):
@@ -65,7 +115,7 @@ class Adjacency:
         return Adjacency(succ, pred, tuple(s for s in states if not succ[s]))
 
 
-class _StateGraph:
+class _StateGraph(Value):
     """Validation and the cached adjacency index shared by the three
     structure types.  Subclasses set ``states`` and ``transitions``."""
 
@@ -78,11 +128,10 @@ class _StateGraph:
         if x not in self.adjacency.succ:
             raise ValueError(f"unknown state {x!r}")
 
-    def _check_transitions(self):
-        """Reject malformed steps and steps that leave the declared
-        states; drop duplicates."""
+    def _checked(self, trans):
+        """``trans`` without duplicates; reject malformed steps and steps
+        that leave the declared states."""
         declared = set(self.states)
-        trans = self.transitions
         if not ({self._step_width}.issuperset(map(len, trans))
                 and declared.issuperset(map(itemgetter(0), trans))
                 and declared.issuperset(map(itemgetter(-1), trans))):
@@ -92,7 +141,7 @@ class _StateGraph:
                 if t[0] not in declared or t[-1] not in declared:
                     raise StructureError(f"transition ({', '.join(map(str, t))})"
                                          " leaves declared states")
-        object.__setattr__(self, "transitions", _dedup(trans))
+        return _dedup(trans)
 
 
 class _LabelledGraph(_StateGraph):
@@ -100,34 +149,33 @@ class _LabelledGraph(_StateGraph):
     marks structures produced by the deadlock extension, and only those
     may carry the reserved proposition "delta"."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _dedup(self.states))
-        labelling = {}
-        for s in self.states:
-            props = frozenset(self.labelling.get(s, ()))
+    __match_args__ = ("states", "labelling", "transitions", "delta_extended")
+
+    def __init__(self, states, labelling, transitions, delta_extended=False):
+        d = self.__dict__
+        d["states"] = states = _dedup(states)
+        props_of = {}
+        for s in states:
+            props = frozenset(labelling.get(s, ()))
             for p in props:
                 if not isinstance(p, str) or not p:
                     raise StructureError(f"bad proposition {p!r} on state {s}")
-                if p == DELTA_PROP and not self.delta_extended:
+                if p == DELTA_PROP and not delta_extended:
                     raise StructureError(
                         f"reserved proposition {DELTA_PROP!r} on state {s}")
-            labelling[s] = props
-        object.__setattr__(self, "labelling", labelling)
-        self._check_transitions()
+            props_of[s] = props
+        d["labelling"] = props_of
+        d["transitions"] = self._checked(transitions)
+        d["delta_extended"] = delta_extended
 
     def label(self, s):
         return self.labelling[s]
 
 
-@dataclass(frozen=True)
 class KripkeStructure(_LabelledGraph):
     """Finite state graph with atomic-proposition labels; may be non-total."""
 
     _step_width = 2
-    states: tuple
-    labelling: dict
-    transitions: tuple
-    delta_extended: bool = False
 
     def successors(self, s):
         return [t for (_, t) in self.adjacency.succ.get(s, ())]
@@ -140,57 +188,48 @@ class KripkeStructure(_LabelledGraph):
         return props
 
 
-@dataclass(frozen=True)
 class Lts(_StateGraph):
     """Finite state graph with action-labelled transitions; "tau" is silent."""
 
     _step_width = 3
-    states: tuple
-    actions: tuple
-    transitions: tuple
+    __match_args__ = ("states", "actions", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _dedup(self.states))
-        acts = [TAU, *self.actions, *(a for (_, a, _) in self.transitions)]
-        object.__setattr__(self, "actions", _dedup(acts))
-        self._check_transitions()
+    def __init__(self, states, actions, transitions):
+        d = self.__dict__
+        d["states"] = _dedup(states)
+        d["actions"] = _dedup([TAU, *actions, *(a for (_, a, _) in transitions)])
+        d["transitions"] = self._checked(transitions)
 
     def successors(self, s):
         return list(self.adjacency.succ.get(s, ()))
 
 
-@dataclass(frozen=True)
 class DoublyLabelledTS(_LabelledGraph):
     """State graph carrying both a state labelling and action labels."""
 
     _step_width = 3
-    states: tuple
-    labelling: dict
-    transitions: tuple
-    delta_extended: bool = False
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A finite path or a lasso (stem + repeated cycle) of state ids.
 
     ``cycle`` is empty iff ``kind == "finite"``.  A finite path is maximal
     iff its last state has no outgoing transition in the host structure.
     """
 
-    kind: str
-    stem: tuple
-    cycle: tuple = ()
+    __match_args__ = ("kind", "stem", "cycle")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "lasso"):
-            raise StructureError(f"bad path kind {self.kind!r}")
-        if not self.stem:
+    def __init__(self, kind, stem, cycle=()):
+        if kind not in ("finite", "lasso"):
+            raise StructureError(f"bad path kind {kind!r}")
+        if not stem:
             raise StructureError("path stem must be nonempty")
-        if (self.kind == "finite") != (len(self.cycle) == 0):
+        if (kind == "finite") != (len(cycle) == 0):
             raise StructureError("cycle must be nonempty exactly for lassos")
-        object.__setattr__(self, "stem", tuple(self.stem))
-        object.__setattr__(self, "cycle", tuple(self.cycle))
+        d = self.__dict__
+        d["kind"] = kind
+        d["stem"] = tuple(stem)
+        d["cycle"] = tuple(cycle)
 
 
 def path_is_valid(g, path: Path) -> bool:
@@ -211,12 +250,10 @@ def path_is_maximal(g, path: Path) -> bool:
     return path.stem[-1] in deadlock_states(g)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Value):
     """Outcome of the three-way label/action agreement check on a L2TS."""
 
-    consistent: bool
-    violations: tuple
+    __match_args__ = ("consistent", "violations")
 
     def violated_conditions(self):
         return sorted({cond for (cond, _) in self.violations})

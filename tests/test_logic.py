@@ -76,6 +76,46 @@ def test_deep_nesting_parses_and_renders():
     assert sdelta_eval(phi) is False
 
 
+def _distinct_nodes(phi):
+    """Node objects of a formula DAG; an equal copy counts apart."""
+    seen, stack = {}, [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            stack.extend(getattr(f, "items", ()))
+            stack.extend(getattr(f, a) for a in ("sub", "lhs", "rhs")
+                         if hasattr(f, a))
+    return len(seen)
+
+
+def test_parsing_interns_equal_subformulas():
+    phi = parse_formula("(EF p & AG ~q | EF p & AG ~q) & E (~q U p)")
+    assert _distinct_nodes(phi) == 14
+    assert phi == And((Or(And((ExistsUntil(TRUE, Prop("p")),
+                               Not(ExistsUntil(TRUE, Not(Not(Prop("q"))))))),
+                          And((ExistsUntil(TRUE, Prop("p")),
+                               Not(ExistsUntil(TRUE, Not(Not(Prop("q")))))))),
+                       ExistsUntil(Not(Prop("q")), Prop("p"))))
+    assert parse_formula("false & ~true").items[0] is FALSE
+    assert parse_formula("false & ~true").items[1] is FALSE
+
+
+def test_reparsed_distinguishing_formula_is_as_small_as_the_dag():
+    # the text doubles with every refinement round; the DAG gains two nodes
+    n = 16
+    states = tuple(f"c{i}" for i in range(n))
+    k = KripkeStructure(
+        states, {s: {"pq"[i % 2]} for i, s in enumerate(states)},
+        tuple(zip(states, states[1:])))
+    phi = distinguish(k, "c0", "c2", EquivVariant.EXPLICIT_DIVERGENCE)
+    text = render_formula(phi)
+    assert len(text) > 100_000
+    back = parse_formula(text)
+    assert back == phi
+    assert _distinct_nodes(back) == _distinct_nodes(phi) == 2 * n - 3
+
+
 def test_render_round_trip_random():
     rng = random.Random(1)
     for _ in range(200):

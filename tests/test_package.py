@@ -47,27 +47,46 @@ def test_submodules_are_package_attributes():
 
 
 # Runs a command in a fresh interpreter, then reports which dtk engines
-# have run their module body (a lazy placeholder is not a ModuleType)
-# and which are in sys.modules at all.
+# have run their module body (a lazy placeholder is not a ModuleType),
+# which are in sys.modules at all, and every module loaded by the time
+# main returned, before the probe imports json itself.
 PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 from dtk.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
+loaded = sorted(sys.modules)
 engines = {n[4:]: type(m) is types.ModuleType for n, m in sys.modules.items()
            if n.startswith("dtk.") and n != "dtk.cli"}
-print(json.dumps({"code": code, "engines": engines}))
+import json
+print(json.dumps({"code": code, "engines": engines, "loaded": loaded}))
 """
+
+# modules a command must not load unless a bare interpreter already does
+HEAVY = {"dataclasses", "inspect", "json"}
+
+
+def _run(cwd, *argv):
+    done = subprocess.run([sys.executable, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    """What the interpreter loads before it runs any code of dtk."""
+    return set(_run(tmp_path_factory.mktemp("bare"), "-c",
+                    "import sys; print(*sys.modules)").split())
 
 
 def _probe(cwd, *argv):
-    done = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, check=True)
-    report = json.loads(done.stdout)
+    """The exit code, the engines that ran, and the modules the command
+    loaded that a bare interpreter does not."""
+    report = json.loads(_run(cwd, "-c", PROBE, *argv))
     assert sorted(report["engines"]) == sorted(ENGINES)
     executed = {name for name, ran in report["engines"].items() if ran}
-    return report["code"], executed
+    return report["code"], executed, set(report["loaded"])
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +115,26 @@ def models(tmp_path_factory):
     (("transform", "--op", "dext", "--model", "k.ks"),
      {"structures", "transforms"}),
 ])
-def test_a_command_runs_only_the_engines_it_uses(models, argv, engines):
-    code, executed = _probe(models, *argv)
+def test_a_command_runs_only_the_engines_it_uses(models, bare_modules, argv,
+                                                 engines):
+    code, executed, loaded = _probe(models, *argv)
     assert code == (0 if argv else None)
     assert executed == engines
+    assert not (HEAVY & loaded) - bare_modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("consistency", "--model", "d.l2ts"),
+    ("check-equiv", "--model", "l.lts", "--kind", "lts", "--variant", "ed"),
+    ("traces", "--model", "l.lts", "--kind", "lts", "--state", "0"),
+    ("model-check", "--model", "k.ks", "--formula", "EG p"),
+])
+def test_only_json_output_loads_json(models, bare_modules, argv):
+    assert "json" not in bare_modules
+    code, _, loaded = _probe(models, *argv, "--json")
+    assert code == 0
+    assert "json" in loaded
+    assert not {"dataclasses", "inspect"} & loaded - bare_modules
 
 
 def test_main_module_runs_without_warnings():
