@@ -67,10 +67,6 @@ def _emit(args, command, result, plain_lines):
             print(line)
 
 
-def _partition_lines(partition):
-    return [" ".join(sorted(block)) for block in partition.blocks]
-
-
 def cmd_check_equiv(args) -> int:
     kind = args.kind
     model = _load_model(args.model, kind, allow_delta=args.allow_delta)
@@ -95,7 +91,7 @@ def cmd_check_equiv(args) -> int:
         _emit(args, "check-equiv", {"verdict": verdict}, [verdict])
         return 0 if same else 1
     blocks = [sorted(b) for b in partition.blocks]
-    _emit(args, "check-equiv", {"blocks": blocks}, _partition_lines(partition))
+    _emit(args, "check-equiv", {"blocks": blocks}, map(" ".join, blocks))
     return 0
 
 

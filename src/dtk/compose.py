@@ -27,34 +27,30 @@ def merge(l1: Lts, s, l2: Lts, t):
     l1.check_state(s)
     l2.check_state(t)
     succ1, succ2 = l1.adjacency.succ, l2.adjacency.succ
-
-    def name(pair):
-        return f"{pair[0]}|{pair[1]}"
-
-    root = (s, t)
-    states = [name(root)]
-    seen = {root}
+    # each state's name is made once, and every transition reuses it
+    root = f"{s}|{t}"
+    names = {(s, t): root}
+    states = [root]
     trans = []
-    queue = deque([root])
+    queue = deque([(s, t)])
+
+    def reach(pair):
+        name = names.get(pair)
+        if name is None:
+            name = names[pair] = f"{pair[0]}|{pair[1]}"
+            states.append(name)
+            queue.append(pair)
+        return name
+
     while queue:
-        (p, q) = queue.popleft()
-        here = name((p, q))
+        (p, q) = pair = queue.popleft()
+        here = names[pair]
         for (a, p2) in succ1[p]:
-            nxt = (p2, q)
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(name(nxt))
-                queue.append(nxt)
-            trans.append((here, a, name(nxt)))
+            trans.append((here, a, reach((p2, q))))
         for (a, q2) in succ2[q]:
-            nxt = (p, q2)
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(name(nxt))
-                queue.append(nxt)
-            trans.append((here, a, name(nxt)))
+            trans.append((here, a, reach((p, q2))))
     product = Lts(tuple(states), l1.actions + l2.actions, tuple(trans))
-    return product, name(root)
+    return product, root
 
 
 def merged_pair_system(l1: Lts, s, l2: Lts, t, l3: Lts, s2, l4: Lts, t2):

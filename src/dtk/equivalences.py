@@ -25,13 +25,14 @@ component that can complete.  All members share one signature.
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.  A refinement
-numbers the states ``0..n-1`` once and works on integer successor lists
-(with a silent flag), predecessor lists, a block id per state and a
-member list per block; an observation is one integer.  The first round
-computes every block.  When a block splits, its largest piece keeps the
-block id and the other pieces move to new ids.  A later round computes
-only the dirty blocks: the pieces of a split, and the blocks that hold a
-predecessor of a moved state.  Any other block has the same steps into
+numbers the states ``0..n-1`` once, in one pass over the transitions,
+and works on integer silent and visible successor lists, predecessor
+lists, a block id per state and a member list per block; an observation
+is one integer.  The structure's string-keyed index is never built.
+The first round computes every block.  When a block splits, its largest
+piece keeps the block id and the other pieces move to new ids.  A later
+round computes only the dirty blocks: the pieces of a split, and the
+blocks that hold a predecessor of a moved state.  Any other block has the same steps into
 the same block ids as in the round before, so its members' signatures
 are still equal and a full round would not split it either; every
 round therefore yields the same partition as one that recomputes all
@@ -132,10 +133,6 @@ def _labels(g):
     raise TypeError(f"unsupported structure {type(g).__name__}")
 
 
-# every Kripke step (action None) is silent; on an LTS only tau
-_SILENT = frozenset((None, TAU))
-
-
 class Signature(Value):
     """One refinement-round summary of a state."""
 
@@ -150,17 +147,37 @@ class Signature(Value):
 
 class _IntGraph:
     """A structure with its states numbered ``0..n-1`` in declaration
-    order: the numbering, per-state ``(silent, action id, target)`` steps,
-    per-state predecessor lists, and the actions by id."""
+    order, built in one pass over its transitions: the numbering,
+    per-state silent-successor lists, visible ``(action id, target)``
+    lists, predecessor lists and deadlock flags, and the actions by id.
+    Every Kripke step is silent (action None); on an LTS only tau is.
+    The silent action has id 0."""
 
     def __init__(self, g):
-        self.number = number = {s: i for i, s in enumerate(g.states)}
-        action_id = {}
-        adj = g.adjacency
-        self.steps = [[(a in _SILENT, action_id.setdefault(a, len(action_id)),
-                        number[v]) for (a, v) in adj.succ[s]] for s in g.states]
-        self.preds = [[number[u] for (_, u) in adj.pred[s]] for s in g.states]
-        self.actions = list(action_id)
+        labels = _labels(g)
+        states = g.states
+        self.number = number = {s: i for i, s in enumerate(states)}
+        self.silent = silent = [[] for _ in states]
+        self.visible = visible = [[] for _ in states]
+        self.preds = preds = [[] for _ in states]
+        if labels is None:
+            action_id = {TAU: 0}
+            for (u, a, v) in g.transitions:
+                u, v = number[u], number[v]
+                if a == TAU:
+                    silent[u].append(v)
+                else:
+                    visible[u].append(
+                        (action_id.setdefault(a, len(action_id)), v))
+                preds[v].append(u)
+            self.actions = list(action_id)
+        else:
+            for (u, v) in g.transitions:
+                u, v = number[u], number[v]
+                silent[u].append(v)
+                preds[v].append(u)
+            self.actions = [None]
+        self.deadlock = [not (out or vis) for out, vis in zip(silent, visible)]
 
 
 def _block_signatures(members, block, view, variant):
@@ -170,12 +187,12 @@ def _block_signatures(members, block, view, variant):
     the integer ``block(v) * len(view.actions) + a``."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
-    steps = view.steps
+    silent, visible, deadlock = view.silent, view.visible, view.deadlock
     width = len(view.actions)
     own = block[members[0]]
 
     def inert(u):
-        return [v for (silent, _, v) in steps[u] if silent and block[v] == own]
+        return [v for v in silent[u] if block[v] == own]
 
     summary = {}   # state -> (observations, divergent, completable) of its SCC
     sigs = {}
@@ -184,23 +201,24 @@ def _block_signatures(members, block, view, variant):
         largest = frozenset()   # the largest observation set taken over
         div = comp = False
         for u in scc:
-            out = steps[u]
-            if not out:
+            if deadlock[u]:
                 comp = True
-            for (silent, a, v) in out:
+            for v in silent[u]:
                 b = block[v]
-                if silent and b == own:
-                    below = summary.get(v)
-                    if below is None:   # v is in this SCC: an inert cycle
-                        div = True
-                    else:
-                        if len(below[0]) > len(largest):
-                            largest = below[0]
-                        obs |= below[0]
-                        div = div or below[1]
-                        comp = comp or below[2]
+                if b != own:
+                    obs.add(b * width)   # the silent action's id is 0
+                    continue
+                below = summary.get(v)
+                if below is None:   # v is in this SCC: an inert cycle
+                    div = True
                 else:
-                    obs.add(b * width + a)
+                    if len(below[0]) > len(largest):
+                        largest = below[0]
+                    obs |= below[0]
+                    div = div or below[1]
+                    comp = comp or below[2]
+            for (a, v) in visible[u]:
+                obs.add(block[v] * width + a)
         comp = comp or div
         # ``largest`` is a subset of ``obs``; reuse it when they are equal
         obs = largest if len(obs) == len(largest) else frozenset(obs)
@@ -242,13 +260,13 @@ class _Signatures(Mapping):
     def _compute(self, s):
         view = self._view
         block = self._block
-        steps = view.steps
+        silent = view.silent
         start = view.number[s]
         own = block[start]
         reach, seen = [start], {start}
         for u in reach:
-            for (silent, _, v) in steps[u]:
-                if silent and block[v] == own and v not in seen:
+            for v in silent[u]:
+                if block[v] == own and v not in seen:
                     seen.add(v)
                     reach.append(v)
         actions = view.actions

@@ -1,7 +1,9 @@
 """Internal graph helpers shared by the equivalence and logic engines.
 
-The walks run over the ``(action, node)`` lists of a structure's
-adjacency index, restricted to the subgraph induced by a node set.
+The cycle and reachability walks run over the ``(action, node)`` lists
+of a structure's adjacency index, restricted to the subgraph induced by
+a node set.  The component search takes any successor function;
+refinement feeds it plain lists of integer state ids.
 """
 
 from __future__ import annotations

@@ -64,6 +64,11 @@ def _step_key(step):
     return repr(_freeze(step))
 
 
+def _trace_key(trace):
+    return (len(trace.items), _step_key(trace.items), _step_key(trace.cycle),
+            trace.end)
+
+
 def _freeze(x):
     if isinstance(x, frozenset):
         return tuple(sorted(x))
@@ -498,7 +503,10 @@ def distinguish_ltl(k: KripkeStructure, s, t, with_infinity: bool,
     maximal-path representatives before being returned.
     """
     occurring = {k.labelling[x] for x in k.states}
-    sides = {x: complete_traces(k, x, "labelling", bound)[0] for x in (s, t)}
+    # a total order that reads no hash value, so the formula is the same
+    # in every process
+    sides = {x: sorted(complete_traces(k, x, "labelling", bound)[0],
+                       key=_trace_key) for x in (s, t)}
 
     def witness_for(a_state, b_state):
         # each sequence of a_state, with whether its paths are infinite
@@ -506,8 +514,7 @@ def distinguish_ltl(k: KripkeStructure, s, t, with_infinity: bool,
         for pi in sides[a_state]:
             kinds.setdefault((pi.items, pi.cycle), set()).add(
                 pi.end in (DIVERGENCE, LASSO))
-        for rho in sorted(sides[b_state],
-                          key=lambda tr: (len(tr.items), _step_key(tr.items))):
+        for rho in sides[b_state]:
             infinite = rho.end in (DIVERGENCE, LASSO)
             same = kinds.get((rho.items, rho.cycle))
             if same is not None and (infinite in same or not with_infinity):

@@ -16,6 +16,7 @@ DELTA_PROP = "delta"
 DUMMY_PROP = "st"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
+_NON_ID_CHAR = re.compile(r"[^A-Za-z0-9_.]")
 
 
 class FormatError(ValueError):
@@ -124,8 +125,10 @@ class _StateGraph(Value):
         return Adjacency.build(self.states, self.transitions)
 
     def check_state(self, x):
-        """Raise ValueError unless ``x`` is a declared state."""
-        if x not in self.adjacency.succ:
+        """Raise ValueError unless ``x`` is a declared state.  Scans the
+        states, so no index is built; every caller goes on to do work
+        linear in the structure anyway."""
+        if x not in self.states:
             raise ValueError(f"unknown state {x!r}")
 
     def _checked(self, trans):
@@ -270,11 +273,12 @@ def _check_id(token, line):
 
 
 def _check_new_ids(tokens, known, line):
-    """Check, in order, the tokens not yet in ``known``, the set of ids
-    already seen to be well formed, and add them to it."""
+    """Check, in order, the tokens not yet in ``known``, which maps every
+    id already seen to be well formed to its first string object, and
+    add them to it."""
     for token in tokens:
         if token not in known:
-            known.add(_check_id(token, line))
+            known[token] = _check_id(token, line)
 
 
 def _parse(text, edge_syntax, labelled, allow_delta=False):
@@ -285,10 +289,14 @@ def _parse(text, edge_syntax, labelled, allow_delta=False):
     over ``state <id>``.  Returns (states, labelling, edges, saw_delta).
     Each distinct id is checked against the id charset once: an edge
     whose tokens are declared states or known actions needs no check.
+    Ids are interned as they are read, so every edge holds the declared
+    state's string object and one object per action, not fresh copies.
     """
     directive, width = edge_syntax.split()[0], len(edge_syntax.split())
     states, labelling, edges = [], {}, []
-    known = set()
+    known = {}      # every well-formed id seen -> its first string object
+    declared = {}   # every declared state id -> the object in ``states``
+    action, state = known.get, declared.get
     saw_delta = False
     for i, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
@@ -301,13 +309,17 @@ def _parse(text, edge_syntax, labelled, allow_delta=False):
         if tokens[0] == directive:
             if len(tokens) != width:
                 raise FormatError(f"expected: {edge_syntax}", i)
-            edge = tuple(tokens[1:])
-            if not (edge[0] in labelling and edge[-1] in labelling
-                    and (width == 3 or edge[1] in known)):   # 3: no action
-                _check_new_ids(edge, known, i)
-                for endpoint in (edge[0], edge[-1]):
-                    if endpoint not in labelling:
+            # None marks an undeclared state or an action not seen yet
+            if width == 4:
+                edge = (state(tokens[1]), action(tokens[2]), state(tokens[3]))
+            else:
+                edge = (state(tokens[1]), state(tokens[2]))
+            if None in edge:
+                _check_new_ids(tokens[1:], known, i)
+                for endpoint in (tokens[1], tokens[-1]):
+                    if endpoint not in declared:
                         raise FormatError(f"undeclared state {endpoint!r}", i)
+                edge = tuple(map(known.get, tokens[1:]))
             edges.append(edge)
         elif tokens[0] == "state":
             if not labelled:
@@ -319,15 +331,17 @@ def _parse(text, edge_syntax, labelled, allow_delta=False):
             else:
                 props = tokens[3:-1]
             sid = tokens[1]
-            if sid not in known or not known.issuperset(props):
+            if sid not in known or not all(map(known.__contains__, props)):
                 _check_new_ids([sid, *props], known, i)
-            if sid in labelling:
+            if sid in declared:
                 raise FormatError(f"duplicate state {sid!r}", i)
             if DELTA_PROP in props:
                 if not allow_delta:
                     raise FormatError(
                         f"proposition {DELTA_PROP!r} is reserved", i)
                 saw_delta = True
+            sid = known[sid]
+            declared[sid] = sid
             states.append(sid)
             labelling[sid] = props
         else:
@@ -365,7 +379,7 @@ def _sanitize_ids(states):
     mapping = {}
     taken = set()
     for s in states:
-        candidate = re.sub(r"[^A-Za-z0-9_.]", ".", s) or "s"
+        candidate = _NON_ID_CHAR.sub(".", s) or "s"
         name = candidate
         k = 2
         while name in taken:

@@ -183,3 +183,12 @@ def test_probe_biconditional_random():
         t = rng.choice(l.states)
         report = coarsest_congruence_probe(l, s, t)
         assert report.biconditional_holds
+
+
+def test_merge_names_each_product_state_once():
+    l = random_lts(random.Random(3), max_states=6)
+    prod, root = merge(l, l.states[0], l, l.states[-1])
+    names = {s: s for s in prod.states}
+    assert root is names[root]
+    for (u, _, v) in prod.transitions:
+        assert u is names[u] and v is names[v]

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +343,35 @@ def test_distinguish_ltl_deadlock_vs_livelock_needs_infinity():
     witness = distinguish_ltl(k, "d", "l", with_infinity=True)
     assert witness is not None
     assert witness.formula in (PInfinity(), PNot(PInfinity()))
+
+
+_WITNESS_SCRIPT = """
+import random
+from dtk.generators import random_ks
+from dtk.linear import distinguish_ltl
+for seed in range(40):
+    k = random_ks(random.Random(seed), max_states=5)
+    for s in k.states:
+        for t in k.states:
+            for flag in (False, True):
+                w = distinguish_ltl(k, s, t, flag, 5)
+                if w is not None:
+                    print(seed, s, t, flag, repr(w.formula))
+"""
+
+
+def test_distinguish_ltl_does_not_depend_on_hash_values():
+    # taken in set order, the conjuncts differ at seeds 17 and 29
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _WITNESS_SCRIPT], stdout=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=h))
+        for h in ("0", "1")]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0].count("\n") > 100
+    assert outs[0] == outs[1]
 
 
 def test_distinguish_ltl_same_state_is_none():

@@ -164,7 +164,9 @@ def _distinguish_ltl(k, s, t, with_infinity, bound):
     sides = {}
     for state in (s, t):
         traces, _ = complete_traces(k, state, "labelling", bound)
-        sides[state] = traces
+        # conjuncts follow the traces in this order, not in hash order
+        sides[state] = sorted(traces, key=lambda tr: (
+            len(tr.items), _step_key(tr.items), _step_key(tr.cycle), tr.end))
 
     def verified(formula, holds_from, fails_from):
         holds = maximal_path_representatives(k, holds_from)

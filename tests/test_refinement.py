@@ -12,6 +12,7 @@ fixpoint.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,11 @@ from dtk.equivalences import (
     Partition,
     _partition,
     _rounds,
+    check_colouring,
     coarsest_partition_ks,
     coarsest_partition_lts,
     divergent_states,
+    equivalent,
     meet,
     refinement_history,
 )
@@ -246,3 +249,25 @@ def test_refinement_scales_to_2000_states():
     assert meet(ds, db, states) == ds
     assert db == _fixpoint_refinement(l)
     assert len(db) < len(states)
+
+
+def _fresh_structures():
+    """A new LTS and a new Kripke structure, so that nothing is cached."""
+    return (Lts(("a", "b", "c"), (TAU,),
+                (("a", TAU, "b"), ("b", TAU, "a"), ("b", "x", "c"))),
+            KripkeStructure(("a", "b", "c"), {"a": {"p"}, "b": {"p"}},
+                            (("a", "b"), ("b", "a"), ("b", "c"))))
+
+
+@pytest.mark.parametrize("use", [
+    lambda g: (coarsest_partition_lts if isinstance(g, Lts)
+               else coarsest_partition_ks)(g, ED),
+    lambda g: [sigs["a"] for (_, sigs) in refinement_history(g, DS)[1:]],
+    lambda g: check_colouring(g, _partition(g.states, [0, 0, 1]), DS),
+    lambda g: divergent_states(g, _partition(g.states, [0, 0, 1])),
+    lambda g: equivalent(g, "a", "b", DB),
+], ids=["coarsest", "history", "check_colouring", "divergent", "equivalent"])
+def test_refinement_reads_the_transitions_not_the_adjacency(use):
+    for g in _fresh_structures():
+        use(g)
+        assert "adjacency" not in g.__dict__

@@ -280,3 +280,37 @@ def test_disjoint_union_renames_clashes():
     assert m2["a"] != "a"
     assert len(u.states) == 3
     assert (m2["a"], TAU, m2["a"]) in u.transitions
+
+
+# --- one object per id ---------------------------------------------------------
+
+# multi-character ids, so that every token read from the text is a new
+# string object; "w1" is first read as a proposition, then declared
+INTERNING_TEXTS = [
+    (parse_lts, "state w0\nstate w1\ntrans w0 go w1\ntrans w1 go w0\n"
+                "trans w1 tau w1\ntrans w0 tau w1\n"),
+    (parse_ks, "state w0 { w1 }\nstate w1 { pq }\nedge w0 w1\nedge w1 w0\n"
+               "edge w1 w1\n"),
+    (parse_l2ts, "state w0 { w1 }\nstate w1 { pq }\ntrans w0 go w1\n"
+                 "trans w1 tau w1\ntrans w1 go w0\n"),
+]
+
+
+@pytest.mark.parametrize("parse, text", INTERNING_TEXTS,
+                         ids=["lts", "ks", "l2ts"])
+def test_transitions_hold_the_declared_state_objects(parse, text):
+    g = parse(text)
+    declared = {s: s for s in g.states}
+    actions = {}
+    for t in g.transitions:
+        assert t[0] is declared[t[0]] and t[-1] is declared[t[-1]]
+        if len(t) == 3:
+            assert actions.setdefault(t[1], t[1]) is t[1]
+
+
+def test_check_state_scans_the_states():
+    l = parse_lts(BRANCHING_LTS_TEXT)
+    l.check_state("z")
+    with pytest.raises(ValueError, match="unknown state 'nope'"):
+        l.check_state("nope")
+    assert "adjacency" not in l.__dict__
