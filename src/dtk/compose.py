@@ -26,18 +26,23 @@ def merge(l1: Lts, s, l2: Lts, t):
     """
     l1.check_state(s)
     l2.check_state(t)
-    succ1, succ2 = l1.adjacency.succ, l2.adjacency.succ
-    # each state's name is made once, and every transition reuses it
+    index1, index2 = l1.index, l2.index
+    succ1, succ2 = index1.succ, index2.succ
+    actions1, actions2 = index1.actions, index2.actions
+    names1, names2 = l1.states, l2.states
+    # the search runs on pairs of state ids; each product state's name is
+    # made once, and every transition reuses it
+    start = (index1.number[s], index2.number[t])
     root = f"{s}|{t}"
-    names = {(s, t): root}
+    names = {start: root}
     states = [root]
     trans = []
-    queue = deque([(s, t)])
+    queue = deque([start])
 
     def reach(pair):
         name = names.get(pair)
         if name is None:
-            name = names[pair] = f"{pair[0]}|{pair[1]}"
+            name = names[pair] = f"{names1[pair[0]]}|{names2[pair[1]]}"
             states.append(name)
             queue.append(pair)
         return name
@@ -46,9 +51,9 @@ def merge(l1: Lts, s, l2: Lts, t):
         (p, q) = pair = queue.popleft()
         here = names[pair]
         for (a, p2) in succ1[p]:
-            trans.append((here, a, reach((p2, q))))
+            trans.append((here, actions1[a], reach((p2, q))))
         for (a, q2) in succ2[q]:
-            trans.append((here, a, reach((p, q2))))
+            trans.append((here, actions2[a], reach((p, q2))))
     product = Lts(tuple(states), l1.actions + l2.actions, tuple(trans))
     return product, root
 

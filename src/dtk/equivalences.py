@@ -25,19 +25,19 @@ component that can complete.  All members share one signature.
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.  A refinement
-numbers the states ``0..n-1`` once, in one pass over the transitions,
-and works on integer silent and visible successor lists, predecessor
-lists, a block id per state and a member list per block; an observation
-is one integer.  The structure's string-keyed index is never built.
-The first round computes every block.  When a block splits, its largest
-piece keeps the block id and the other pieces move to new ids.  A later
-round computes only the dirty blocks: the pieces of a split, and the
-blocks that hold a predecessor of a moved state.  Any other block has the same steps into
-the same block ids as in the round before, so its members' signatures
-are still equal and a full round would not split it either; every
-round therefore yields the same partition as one that recomputes all
-states.  A block of one state never splits and is never computed.  The
-result is canonicalised once, at the end.
+reads the structure's integer state index (``g.index``: ``(action id,
+target)`` successor pairs, predecessor lists, deadlock flags) and keeps
+a block id per state and a member list per block; an observation is
+one integer.  The first round computes every block.  When a block
+splits, its largest piece keeps the block id and the other pieces move
+to new ids.  A later round computes only the dirty blocks: the pieces
+of a split, and the blocks that hold a predecessor of a moved state.
+Any other block has the same steps into the same block ids as in the
+round before, so its members' signatures are still equal and a full
+round would not split it either; every round therefore yields the same
+partition as one that recomputes all states.  A block of one state
+never splits and is never computed.  The result is canonicalised once,
+at the end.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from collections.abc import Mapping
 from enum import Enum
 
 from .graphs import strongly_connected_components
-from .structures import KripkeStructure, Lts, TAU, Value
+from .structures import KripkeStructure, Lts, Value
 
 
 class EquivVariant(Enum):
@@ -82,9 +82,10 @@ class Partition(Value):
 
     def restrict(self, states):
         """The induced partition on a subset of the states."""
+        states = list(states)   # read once: it may be an iterator
         keep = set(states)
         blocks = [b & keep for b in self.blocks if b & keep]
-        return Partition.from_blocks(blocks, [s for s in states])
+        return Partition.from_blocks(blocks, states)
 
     def __len__(self):
         return len(self.blocks)
@@ -145,54 +146,20 @@ class Signature(Value):
         d["completable"] = completable
 
 
-class _IntGraph:
-    """A structure with its states numbered ``0..n-1`` in declaration
-    order, built in one pass over its transitions: the numbering,
-    per-state silent-successor lists, visible ``(action id, target)``
-    lists, predecessor lists and deadlock flags, and the actions by id.
-    Every Kripke step is silent (action None); on an LTS only tau is.
-    The silent action has id 0."""
-
-    def __init__(self, g):
-        labels = _labels(g)
-        states = g.states
-        self.number = number = {s: i for i, s in enumerate(states)}
-        self.silent = silent = [[] for _ in states]
-        self.visible = visible = [[] for _ in states]
-        self.preds = preds = [[] for _ in states]
-        if labels is None:
-            action_id = {TAU: 0}
-            for (u, a, v) in g.transitions:
-                u, v = number[u], number[v]
-                if a == TAU:
-                    silent[u].append(v)
-                else:
-                    visible[u].append(
-                        (action_id.setdefault(a, len(action_id)), v))
-                preds[v].append(u)
-            self.actions = list(action_id)
-        else:
-            for (u, v) in g.transitions:
-                u, v = number[u], number[v]
-                silent[u].append(v)
-                preds[v].append(u)
-            self.actions = [None]
-        self.deadlock = [not (out or vis) for out, vis in zip(silent, visible)]
-
-
-def _block_signatures(members, block, view, variant):
+def _block_signatures(members, block, index, variant):
     """Signatures of one block's members, as ``(observations, divergent,
-    completable)`` tuples keyed by state, from one Tarjan pass over the
-    block's inert graph.  An observation ``(a, block(v))`` is encoded as
-    the integer ``block(v) * len(view.actions) + a``."""
+    completable)`` tuples keyed by state id, from one Tarjan pass over
+    the block's inert graph.  A step ``(a, v)`` is inert iff ``a`` is the
+    silent action 0 and ``v`` is in the block.  An observation ``(a,
+    block(v))`` is encoded as the integer ``block(v) * len(actions) + a``."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
-    silent, visible, deadlock = view.silent, view.visible, view.deadlock
-    width = len(view.actions)
+    succ, deadlock = index.succ, index.deadlock
+    width = len(index.actions)
     own = block[members[0]]
 
     def inert(u):
-        return [v for v in silent[u] if block[v] == own]
+        return [v for (a, v) in succ[u] if not a and block[v] == own]
 
     summary = {}   # state -> (observations, divergent, completable) of its SCC
     sigs = {}
@@ -203,10 +170,10 @@ def _block_signatures(members, block, view, variant):
         for u in scc:
             if deadlock[u]:
                 comp = True
-            for v in silent[u]:
+            for (a, v) in succ[u]:
                 b = block[v]
-                if b != own:
-                    obs.add(b * width)   # the silent action's id is 0
+                if a or b != own:
+                    obs.add(b * width + a)
                     continue
                 below = summary.get(v)
                 if below is None:   # v is in this SCC: an inert cycle
@@ -217,8 +184,6 @@ def _block_signatures(members, block, view, variant):
                     obs |= below[0]
                     div = div or below[1]
                     comp = comp or below[2]
-            for (a, v) in visible[u]:
-                obs.add(block[v] * width + a)
         comp = comp or div
         # ``largest`` is a subset of ``obs``; reuse it when they are equal
         obs = largest if len(obs) == len(largest) else frozenset(obs)
@@ -239,10 +204,10 @@ class _Signatures(Mapping):
     few states of a round, which on a long history costs far less than a
     pass over each of their blocks."""
 
-    def __init__(self, g, part, variant, view):
+    def __init__(self, g, part, variant):
         self._states = g.states
         self._variant = variant
-        self._view = view
+        self._index = g.index
         self._block = list(map(part.block_of.__getitem__, g.states))
         self._sigs = {}
 
@@ -258,23 +223,23 @@ class _Signatures(Mapping):
         return len(self._states)
 
     def _compute(self, s):
-        view = self._view
+        index = self._index
         block = self._block
-        silent = view.silent
-        start = view.number[s]
+        succ = index.succ
+        start = index.number[s]
         own = block[start]
         reach, seen = [start], {start}
         for u in reach:
-            for v in silent[u]:
-                if block[v] == own and v not in seen:
+            for (a, v) in succ[u]:
+                if not a and block[v] == own and v not in seen:
                     seen.add(v)
                     reach.append(v)
-        actions = view.actions
+        actions = index.actions
         width = len(actions)
         # members of an SCC share one tuple; decode it once
         decoded = {}
         for u, (obs, div, comp) in _block_signatures(
-                reach, block, view, self._variant).items():
+                reach, block, index, self._variant).items():
             key = id(obs), div, comp
             sig = decoded.get(key)
             if sig is None:
@@ -310,7 +275,7 @@ def _partition(states, block) -> Partition:
     return Partition(block_of, tuple(map(frozenset, members)))
 
 
-def _rounds(g, variant: EquivVariant, view=None):
+def _rounds(g, variant: EquivVariant):
     """Yield the per-state block ids (a tuple, states in declaration
     order) of the initial partition and of every round that split a
     block; the last is the coarsest consistent colouring for the variant.
@@ -320,7 +285,7 @@ def _rounds(g, variant: EquivVariant, view=None):
     all splits after all of them are computed, so each round refines the
     partition the previous one left.
     """
-    view = view or _IntGraph(g)
+    index = g.index
     block = _initial_blocks(g)
     members = [[] for _ in set(block)]
     for u, b in enumerate(block):
@@ -333,7 +298,7 @@ def _rounds(g, variant: EquivVariant, view=None):
             group = members[b]
             if len(group) < 2:   # a singleton never splits
                 continue
-            sigs = _block_signatures(group, block, view, variant)
+            sigs = _block_signatures(group, block, index, variant)
             buckets = {}
             for u in group:
                 buckets.setdefault(sigs[u], []).append(u)
@@ -354,7 +319,7 @@ def _rounds(g, variant: EquivVariant, view=None):
                 for u in piece:
                     block[u] = b
         # a block with a step into a moved state may split next
-        preds = view.preds
+        preds = index.preds
         for _, (_, *moved) in splits:
             for piece in moved:
                 for v in piece:
@@ -373,12 +338,11 @@ def refinement_history(g, variant: EquivVariant):
     mapping that computes a block's signatures when one of its states is
     first looked up.
     """
-    view = _IntGraph(g)
     history = []
     prev = None
-    for block in _rounds(g, variant, view):
+    for block in _rounds(g, variant):
         part = _partition(g.states, block)
-        sigs = None if prev is None else _Signatures(g, prev, variant, view)
+        sigs = None if prev is None else _Signatures(g, prev, variant)
         history.append((part, sigs))
         prev = part
     return history
@@ -404,28 +368,29 @@ def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partitio
     return _coarsest(k, variant)
 
 
+def _block_kernels(g, p: Partition, variant: EquivVariant):
+    """Each block's signatures over ``p``, one whole kernel pass per
+    block, as every signature is read; ``p`` must cover the states."""
+    _labels(g)
+    if set(p.block_of) != set(g.states):
+        raise ValueError("partition does not cover the state set")
+    index = g.index
+    block = [p.block_of[s] for s in g.states]
+    return (_block_signatures([index.number[s] for s in members], block,
+                              index, variant) for members in p.blocks)
+
+
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     """Decide validity of a colouring through the finite per-block
     conditions: equal observation sets (length-three coloured traces),
     plus a uniform divergence or completion bit where the variant asks
     for one; on a Kripke structure blocks must also be label-uniform."""
+    kernels = _block_kernels(g, p, variant)
     labels = _labels(g)
-    if set(p.block_of) != set(g.states):
-        raise ValueError("partition does not cover the state set")
-    if labels is not None:
-        for block in p.blocks:
-            labs = {labels[s] for s in block}
-            if len(labs) > 1:
-                return False
-    # every signature is read, so each block takes one whole kernel pass
-    view = _IntGraph(g)
-    block = [p.block_of[s] for s in g.states]
-    for members in p.blocks:
-        sigs = _block_signatures([view.number[s] for s in members], block,
-                                 view, variant)
-        if len(set(sigs.values())) > 1:
-            return False
-    return True
+    if labels is not None and any(len({labels[s] for s in block}) > 1
+                                  for block in p.blocks):
+        return False
+    return all(len(set(sigs.values())) == 1 for sigs in kernels)
 
 
 def _set_partitions(items):
@@ -484,18 +449,9 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
-    _labels(g)
-    if set(p.block_of) != set(g.states):
-        raise ValueError("partition does not cover the state set")
-    # every signature is read, so each block takes one whole kernel pass
-    view = _IntGraph(g)
-    block = [p.block_of[s] for s in g.states]
-    found = set()
-    for members in p.blocks:
-        sigs = _block_signatures([view.number[s] for s in members], block,
-                                 view, EquivVariant.EXPLICIT_DIVERGENCE)
-        found.update(g.states[u] for u, (_, div, _) in sigs.items() if div)
-    return found
+    return {g.states[u]
+            for sigs in _block_kernels(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
+            for u, (_, div, _) in sigs.items() if div}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

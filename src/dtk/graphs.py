@@ -1,9 +1,11 @@
-"""Internal graph helpers shared by the equivalence and logic engines.
+"""Internal graph helpers shared by the equivalence, logic and linear
+engines.
 
-The cycle and reachability walks run over the ``(action, node)`` lists
-of a structure's adjacency index, restricted to the subgraph induced by
-a node set.  The component search takes any successor function;
-refinement feeds it plain lists of integer state ids.
+The cycle and reachability walks run over the integer state ids of a
+structure's ``StateIndex``, restricted to the subgraph induced by a node
+set: the cycle search reads its ``(action id, target)`` successor pairs,
+the backward search its plain predecessor lists.  The component search
+takes any successor function.
 """
 
 from __future__ import annotations
@@ -76,12 +78,12 @@ def tarjan_cycle_states(nodes, succ) -> set:
 
 def backward_reach(targets, pred, inside) -> set:
     """``targets`` plus the states of ``inside`` that reach them inside
-    ``inside``; ``pred`` maps a node to its ``(action, source)`` pairs."""
+    ``inside``; ``pred`` maps a node to the sources of its steps."""
     seen = set(targets)
     frontier = list(targets)
     while frontier:
         v = frontier.pop()
-        for (_, u) in pred[v]:
+        for u in pred[v]:
             if u in inside and u not in seen:
                 seen.add(u)
                 frontier.append(u)

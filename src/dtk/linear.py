@@ -28,7 +28,7 @@ from itertools import combinations
 from . import equivalences
 from .graphs import tarjan_cycle_states
 from .structures import (
-    KripkeStructure, Lts, Path, TAU, Value, path_is_maximal, path_is_valid)
+    KripkeStructure, Lts, Path, Value, path_is_maximal, path_is_valid)
 
 OPEN = "open"
 DEADLOCK = "deadlock"
@@ -140,13 +140,16 @@ def complete_traces(g, s, colouring, bound: int):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     g.check_state(s)
-    colour = _colouring_fn(g, colouring)
-    edges = g.adjacency.succ
-    cyclic = tarjan_cycle_states(edges, edges)    # edges: a key per state
+    index = g.index
+    edges, actions = index.succ, index.actions
+    # the search runs on state ids, and steps record action names
+    colour = list(map(_colouring_fn(g, colouring), g.states))
+    cyclic = tarjan_cycle_states(range(len(edges)), edges)
     is_lts = not isinstance(g, KripkeStructure)
     emitted = set()
     exhausted = True
-    start = colour(s)
+    root = index.number[s]
+    start = colour[root]
 
     def emit(steps, end, cycle=()):
         items = (start,) + _flatten(steps, is_lts)
@@ -154,7 +157,7 @@ def complete_traces(g, s, colouring, bound: int):
 
     explored = set()
     onpath = {}
-    stack = [(False, s, ())]
+    stack = [(False, root, ())]
     while stack:
         leave, u, steps = stack.pop()
         if leave:
@@ -181,16 +184,16 @@ def complete_traces(g, s, colouring, bound: int):
                 emit(stem, LASSO, cycle)
             stack.append((True, u, prev))
             onpath[u] = len(steps)
-        cu = colour(u)
+        cu = colour[u]
         for (a, v) in edges[u]:
-            cv = colour(v)
-            if (a is None or a == TAU) and cv == cu:
+            cv = colour[v]
+            if not a and cv == cu:
                 stack.append((False, v, steps))
             elif len(steps) >= bound:
                 emit(steps, OPEN)
                 exhausted = False
             else:
-                stack.append((False, v, steps + ((a, cv),)))
+                stack.append((False, v, steps + ((actions[a], cv),)))
     return emitted, exhausted
 
 
@@ -392,20 +395,26 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
     Complete for the contracted-trace witnesses needed at small scale;
     paths revisiting a state beyond the lasso closure are not listed.
     """
-    succ = k.adjacency.succ
-    if not succ[s]:
+    index = k.index
+    succ = index.succ
+    u = index.number[s]
+    if not succ[u]:
         return [Path("finite", (s,))]
+
+    def named(ids):
+        return tuple(map(k.states.__getitem__, ids))
+
     out = []
-    path, pos = [s], {s: 0}
-    todo = [iter(succ[s])]
+    path, pos = [u], {u: 0}
+    todo = [iter(succ[u])]
     while todo:
         for (_, v) in todo[-1]:
             if v in pos:
                 i = pos[v]
-                stem = tuple(path[:i]) if i > 0 else tuple(path)
-                out.append(Path("lasso", stem, tuple(path[i:])))
+                out.append(Path("lasso", named(path[:i] if i > 0 else path),
+                                named(path[i:])))
             elif not succ[v]:
-                out.append(Path("finite", tuple(path) + (v,)))
+                out.append(Path("finite", named(path + [v])))
             else:
                 pos[v] = len(path)
                 path.append(v)

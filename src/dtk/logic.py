@@ -303,14 +303,16 @@ def formula_propositions(phi) -> set:
 # ---------------------------------------------------------------------------
 
 def _evaluator(k: KripkeStructure, semantics: Semantics):
-    """The ``visit`` that computes satisfaction sets on ``k``."""
-    adj = k.adjacency
-    states = frozenset(k.states)
-    dead = frozenset(adj.deadlocks)
+    """The ``visit`` that computes satisfaction sets on ``k``, as sets of
+    the state ids of its index."""
+    index = k.index
+    succ, preds = index.succ, index.preds
+    states = frozenset(range(len(k.states)))
+    dead = frozenset(u for u in states if index.deadlock[u])
 
     def inf_globally(sat_s):
-        cyc = tarjan_cycle_states(sat_s, adj.succ)
-        return frozenset(backward_reach(cyc, adj.pred, sat_s))
+        cyc = tarjan_cycle_states(sat_s, succ)
+        return frozenset(backward_reach(cyc, preds, sat_s))
 
     def visit(f, kids):
         match f:
@@ -318,19 +320,20 @@ def _evaluator(k: KripkeStructure, semantics: Semantics):
                 if name == DELTA_PROP and not k.delta_extended:
                     raise FormulaError(f"proposition {DELTA_PROP!r} only "
                                        f"applies to deadlock extensions")
-                return frozenset(s for s in k.states if name in k.labelling[s])
+                return frozenset(u for u, s in enumerate(k.states)
+                                 if name in k.labelling[s])
             case Not():
                 return states - kids[0]
             case And():
                 return states.intersection(*kids)
             case ExistsUntil():
-                return frozenset(backward_reach(kids[1], adj.pred, kids[0]))
+                return frozenset(backward_reach(kids[1], preds, kids[0]))
             case ExistsGInf():
                 return inf_globally(kids[0])
         # EG: an infinite witness, or a finite one that ends in a deadlock
         if semantics is Semantics.DIVERGENCE_BLIND:
             return kids[0]
-        dead_part = backward_reach(dead & kids[0], adj.pred, kids[0])
+        dead_part = backward_reach(dead & kids[0], preds, kids[0])
         return frozenset(inf_globally(kids[0]) | dead_part)
 
     return visit
@@ -346,9 +349,11 @@ def sat(k: KripkeStructure, phi, semantics: Semantics) -> frozenset:
 
 
 def sat_many(k: KripkeStructure, formulas, semantics: Semantics) -> list:
-    """Satisfaction sets for many formulas, sharing subformula results."""
+    """Satisfaction sets for many formulas, sharing subformula results;
+    the fixpoints run on state ids, named only here."""
     visit, memo = _evaluator(k, semantics), {}
-    return [_fold(phi, visit, memo) for phi in formulas]
+    name = k.states.__getitem__
+    return [frozenset(map(name, _fold(phi, visit, memo))) for phi in formulas]
 
 
 def check(k: KripkeStructure, state, phi, semantics: Semantics) -> bool:

@@ -91,38 +91,47 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Adjacency(Value):
-    """Per-state successor and predecessor lists of a state graph.
+class StateIndex(Value):
+    """A structure's states numbered ``0..n-1`` in declaration order and
+    its transitions over those ids, built in one pass: ``number`` maps a
+    state to its id, ``succ[u]`` holds ``(action id, target)`` pairs in
+    transition order, ``preds[v]`` the sources of the steps into ``v``,
+    ``deadlock[u]`` is True iff ``u`` has no successor, and ``actions``
+    lists the actions by id.  Id 0 is silent: "tau", or None on a Kripke
+    structure, whose every step is silent.  Every engine reads this one
+    index, and only reads it."""
 
-    ``succ[s]`` holds ``(action, target)`` pairs and ``pred[s]`` holds
-    ``(action, source)`` pairs, both in transition order, with action
-    None on a Kripke structure.  ``deadlocks`` lists the states without
-    successors in declaration order.  The lists are shared: read only.
-    """
-
-    __match_args__ = ("succ", "pred", "deadlocks")
+    __match_args__ = ("number", "succ", "preds", "actions", "deadlock")
 
     @staticmethod
-    def build(states, transitions):
-        succ = {s: [] for s in states}
-        pred = {s: [] for s in states}
-        for t in transitions:
-            if len(t) == 2:
-                (u, v), a = t, None
-            else:
-                (u, a, v) = t
-            succ[u].append((a, v))
-            pred[v].append((a, u))
-        return Adjacency(succ, pred, tuple(s for s in states if not succ[s]))
+    def build(states, transitions, kripke):
+        number = {s: i for i, s in enumerate(states)}
+        succ = [[] for _ in states]
+        preds = [[] for _ in states]
+        if kripke:
+            action_id = {None: 0}
+            for (u, v) in transitions:
+                u, v = number[u], number[v]
+                succ[u].append((0, v))
+                preds[v].append(u)
+        else:
+            action_id = {TAU: 0}
+            for (u, a, v) in transitions:
+                u, v = number[u], number[v]
+                succ[u].append((action_id.setdefault(a, len(action_id)), v))
+                preds[v].append(u)
+        return StateIndex(number, succ, preds, list(action_id),
+                          [not out for out in succ])
 
 
 class _StateGraph(Value):
-    """Validation and the cached adjacency index shared by the three
+    """Validation and the cached state index shared by the three
     structure types.  Subclasses set ``states`` and ``transitions``."""
 
     @cached_property
-    def adjacency(self) -> Adjacency:
-        return Adjacency.build(self.states, self.transitions)
+    def index(self) -> StateIndex:
+        return StateIndex.build(self.states, self.transitions,
+                                self._step_width == 2)
 
     def check_state(self, x):
         """Raise ValueError unless ``x`` is a declared state.  Scans the
@@ -181,7 +190,9 @@ class KripkeStructure(_LabelledGraph):
     _step_width = 2
 
     def successors(self, s):
-        return [t for (_, t) in self.adjacency.succ.get(s, ())]
+        index = self.index
+        u = index.number.get(s)
+        return [] if u is None else [self.states[v] for (_, v) in index.succ[u]]
 
     @property
     def propositions(self):
@@ -204,7 +215,10 @@ class Lts(_StateGraph):
         d["transitions"] = self._checked(transitions)
 
     def successors(self, s):
-        return list(self.adjacency.succ.get(s, ()))
+        index = self.index
+        u = index.number.get(s)
+        return [] if u is None else [(index.actions[a], self.states[v])
+                                     for (a, v) in index.succ[u]]
 
 
 class DoublyLabelledTS(_LabelledGraph):
@@ -237,14 +251,15 @@ class Path(Value):
 
 def path_is_valid(g, path: Path) -> bool:
     """True iff consecutive states are related by transitions of ``g``."""
-    succ = g.adjacency.succ
-    seq = list(path.stem) + list(path.cycle)
-    if any(s not in succ for s in seq):
+    number, succ = g.index.number, g.index.succ
+    seq = path.stem + path.cycle
+    if any(s not in number for s in seq):
         return False
-    steps = list(zip(seq, seq[1:]))
-    if path.kind == "lasso":
-        steps.append((seq[-1], path.cycle[0]))
-    return all(any(t == v for (_, t) in succ[u]) for (u, v) in steps)
+    seq = [number[s] for s in seq]
+    if path.kind == "lasso":    # the last state steps back into the cycle
+        seq.append(seq[len(path.stem)])
+    return all(any(t == v for (_, t) in succ[u])
+               for (u, v) in zip(seq, seq[1:]))
 
 
 def path_is_maximal(g, path: Path) -> bool:
@@ -479,7 +494,7 @@ def _split_pairs(groups):
 
 def deadlock_states(g) -> set:
     """States with no outgoing transition at all."""
-    return set(g.adjacency.deadlocks)
+    return {s for s, dead in zip(g.states, g.index.deadlock) if dead}
 
 
 def fresh_name(base: str, taken) -> str:

@@ -71,6 +71,11 @@ def ks_to_l2ts(k: KripkeStructure) -> DoublyLabelledTS:
                             delta_extended=k.delta_extended)
 
 
+def _deadlocks(k: KripkeStructure) -> list:
+    """The deadlock states of ``k``, in declaration order."""
+    return [s for s, dead in zip(k.states, k.index.deadlock) if dead]
+
+
 def deadlock_extension(k: KripkeStructure):
     """Add a fresh sink labelled with the deadlock proposition, looped on
     itself and reachable from every deadlock state.  The result is total
@@ -85,7 +90,7 @@ def deadlock_extension(k: KripkeStructure):
     states = tuple(k.states) + (sink,)
     labelling = dict(k.labelling)
     labelling[sink] = {DELTA_PROP}
-    edges = list(k.transitions) + [(d, sink) for d in k.adjacency.deadlocks]
+    edges = list(k.transitions) + [(d, sink) for d in _deadlocks(k)]
     edges.append((sink, sink))
     return (KripkeStructure(states, labelling, tuple(edges),
                             delta_extended=True), sink)
@@ -94,8 +99,7 @@ def deadlock_extension(k: KripkeStructure):
 def totalize_deadlock_selfloops(k: KripkeStructure) -> KripkeStructure:
     """Add a self-loop to every deadlock state.  Maximal-path validity of
     infinity-free formulas is unchanged."""
-    edges = tuple(k.transitions) + tuple(
-        (d, d) for d in k.adjacency.deadlocks)
+    edges = tuple(k.transitions) + tuple((d, d) for d in _deadlocks(k))
     return KripkeStructure(k.states, dict(k.labelling), edges,
                            delta_extended=k.delta_extended)
 

@@ -40,6 +40,7 @@ from dtk.logic import (
 from dtk.graphs import backward_reach, tarjan_cycle_states
 from dtk.structures import DELTA_PROP, KripkeStructure
 from dtk.transforms import deadlock_extension, encode_D, encode_E
+from tests_helpers import name_keyed_steps
 
 MAX = Semantics.MAXIMAL_PATH
 
@@ -221,8 +222,8 @@ def ref_sat(k, phi, semantics):
     if DELTA_PROP in ref_propositions(phi) and not k.delta_extended:
         raise FormulaError(
             f"proposition {DELTA_PROP!r} only applies to deadlock extensions")
-    adj = k.adjacency
-    dead = frozenset(adj.deadlocks)
+    succ, pred = name_keyed_steps(k)
+    dead = frozenset(s for s in k.states if not succ[s])
     memo = {}
 
     def ev(f):
@@ -245,7 +246,7 @@ def ref_sat(k, phi, semantics):
                 return out
             case ExistsUntil(lhs, rhs):
                 sat_l = ev(lhs)
-                return frozenset(backward_reach(ev(rhs), adj.pred, sat_l))
+                return frozenset(backward_reach(ev(rhs), pred, sat_l))
             case ExistsGInf(sub):
                 return _sat_inf_globally(ev(sub))
             case ExistsG(sub):
@@ -253,13 +254,13 @@ def ref_sat(k, phi, semantics):
                 if semantics is Semantics.DIVERGENCE_BLIND:
                     return sat_s
                 inf_part = _sat_inf_globally(sat_s)
-                dead_part = backward_reach(dead & sat_s, adj.pred, sat_s)
+                dead_part = backward_reach(dead & sat_s, pred, sat_s)
                 return frozenset(inf_part | dead_part)
         raise FormulaError(f"not a state formula: {f!r}")
 
     def _sat_inf_globally(sat_s):
-        cyc = tarjan_cycle_states(sat_s, adj.succ)
-        return frozenset(backward_reach(cyc, adj.pred, sat_s))
+        cyc = tarjan_cycle_states(sat_s, succ)
+        return frozenset(backward_reach(cyc, pred, sat_s))
 
     return ev(phi)
 

@@ -39,7 +39,8 @@ from dtk.linear import (
 )
 from dtk.structures import (
     KripkeStructure, Lts, Path, TAU, path_is_maximal, path_is_valid)
-from tests_helpers import every_colouring, path_search_traces, trace_graphs
+from tests_helpers import (
+    every_colouring, name_keyed_steps, path_search_traces, trace_graphs)
 
 # ---------------------------------------------------------------------------
 # References
@@ -50,7 +51,7 @@ def _coloured_traces(g, s, colouring, bound):
     """Every contracted trace of at most ``bound`` steps, by its own
     search over (state, trace so far) configurations."""
     colour = _colouring_fn(g, colouring)
-    edges = g.adjacency.succ
+    edges, _ = name_keyed_steps(g)
     is_lts = not isinstance(g, KripkeStructure)
     start = colour(s)
     seen_configs = set()

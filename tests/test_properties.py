@@ -1,15 +1,18 @@
 """Property tests: text round trips of structures and formulas, the
-adjacency index, refinement against the brute-force oracle and the
+state index, refinement against the brute-force oracle and across the
+LTS-to-Kripke translation, ed and db as merge congruences, and the
 consistency check against a pairwise reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtk.compose import merged_pair_system
 from dtk.equivalences import (
     ORACLE_STATE_BOUND,
     EquivVariant,
     coarsest_partition_ks,
     coarsest_partition_lts,
+    equivalent,
     oracle_coarsest_partition,
 )
 from dtk.logic import (
@@ -29,6 +32,7 @@ from dtk.structures import (
     KripkeStructure,
     Lts,
     TAU,
+    associated_ks,
     check_consistency,
     deadlock_states,
     parse_ks,
@@ -38,6 +42,7 @@ from dtk.structures import (
     render_l2ts,
     render_lts,
 )
+from dtk.transforms import eta_midpoint
 
 IDS = ("a", "b", "s0", "s_1", "x.y", "Z9", "m.a.b", "t")
 PROPS = ("p", "q", "r_1", "x.y")
@@ -96,15 +101,22 @@ def test_l2ts_text_round_trip(d):
 @settings(max_examples=100, deadline=None)
 @given(ANY_STRUCTURE)
 def test_adjacency_index_agrees_with_transitions(g):
-    adj = g.adjacency
+    """The state index, ``g.index``, read back against the transitions."""
+    index = g.index
     steps = _triples(g)
-    for s in g.states:
-        assert adj.succ[s] == [(a, v) for (u, a, v) in steps if u == s]
-        assert adj.pred[s] == [(a, u) for (u, a, v) in steps if v == s]
+    assert index.number == {s: i for i, s in enumerate(g.states)}
+    assert index.actions[0] == (None if isinstance(g, KripkeStructure)
+                                else TAU)
+    assert len(set(index.actions)) == len(index.actions)
+    for s, i in index.number.items():
+        assert [(index.actions[a], g.states[v]) for (a, v) in index.succ[i]] \
+            == [(a, v) for (u, a, v) in steps if u == s]
+        assert [g.states[u] for u in index.preds[i]] == [
+            u for (u, a, v) in steps if v == s]
     sources = {u for (u, _, _) in steps}
-    assert adj.deadlocks == tuple(s for s in g.states if s not in sources)
-    assert deadlock_states(g) == set(adj.deadlocks)
-    assert g.adjacency is adj
+    assert index.deadlock == [s not in sources for s in g.states]
+    assert deadlock_states(g) == set(g.states) - sources
+    assert g.index is index
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,6 +170,36 @@ def test_lts_refinement_matches_oracle(l, variant):
 def test_ks_refinement_matches_oracle(k, variant):
     assert coarsest_partition_ks(k, variant) == oracle_coarsest_partition(
         k, variant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("lts"))
+def test_lts_partition_matches_its_kripke_translation(l):
+    """De Nicola and Vaandrager's translation (a labelled midpoint on every
+    visible step, then the actions forgotten) keeps every variant: the
+    translated structure's partition, restricted to the original states,
+    is the LTS partition."""
+    k = associated_ks(eta_midpoint(l)[0])
+    for variant in EquivVariant:
+        assert coarsest_partition_lts(l, variant) == coarsest_partition_ks(
+            k, variant).restrict(l.states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("lts"), structures("lts"),
+       st.sampled_from([EquivVariant.DIVERGENCE_BLIND,
+                        EquivVariant.EXPLICIT_DIVERGENCE]),
+       st.data())
+def test_ed_and_db_are_merge_congruences(l1, l2, variant, data):
+    """For ``s`` and ``s2`` equivalent in ``l1`` and any ``t`` of ``l2``,
+    the merges from ``(s, t)`` and ``(s2, t)`` are equivalent."""
+    blocks = coarsest_partition_lts(l1, variant).blocks
+    block = data.draw(st.sampled_from(
+        [b for b in blocks if len(b) > 1] or blocks))
+    s, s2 = (data.draw(st.sampled_from(sorted(block))) for _ in range(2))
+    t = data.draw(st.sampled_from(l2.states))
+    union, left, right = merged_pair_system(l1, s, l2, t, l1, s2, l2, t)
+    assert equivalent(union, left, right, variant)
 
 
 def _pairwise_consistency(d):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtk.compose import merge
 from dtk.equivalences import (
     EquivVariant,
     Partition,
@@ -29,6 +30,8 @@ from dtk.equivalences import (
     meet,
     refinement_history,
 )
+from dtk.linear import complete_traces
+from dtk.logic import Semantics, parse_formula, sat
 from dtk.structures import KripkeStructure, Lts, TAU
 
 DB = EquivVariant.DIVERGENCE_BLIND
@@ -259,15 +262,32 @@ def _fresh_structures():
                             (("a", "b"), ("b", "a"), ("b", "c"))))
 
 
-@pytest.mark.parametrize("use", [
-    lambda g: (coarsest_partition_lts if isinstance(g, Lts)
-               else coarsest_partition_ks)(g, ED),
-    lambda g: [sigs["a"] for (_, sigs) in refinement_history(g, DS)[1:]],
-    lambda g: check_colouring(g, _partition(g.states, [0, 0, 1]), DS),
-    lambda g: divergent_states(g, _partition(g.states, [0, 0, 1])),
-    lambda g: equivalent(g, "a", "b", DB),
-], ids=["coarsest", "history", "check_colouring", "divergent", "equivalent"])
-def test_refinement_reads_the_transitions_not_the_adjacency(use):
+BOTH = (Lts, KripkeStructure)
+
+
+@pytest.mark.parametrize("use, kinds", [
+    (lambda g: (coarsest_partition_lts if isinstance(g, Lts)
+                else coarsest_partition_ks)(g, ED), BOTH),
+    (lambda g: [sigs["a"] for (_, sigs) in refinement_history(g, DS)[1:]],
+     BOTH),
+    (lambda g: check_colouring(g, _partition(g.states, [0, 0, 1]), DS), BOTH),
+    (lambda g: divergent_states(g, _partition(g.states, [0, 0, 1])), BOTH),
+    (lambda g: equivalent(g, "a", "b", DB), BOTH),
+    (lambda g: sat(g, parse_formula("EG p & E (p U ~p)"),
+                   Semantics.MAXIMAL_PATH), (KripkeStructure,)),
+    (lambda g: merge(g, "a", g, "c"), (Lts,)),
+    (lambda g: complete_traces(g, "a", "trivial", 3), BOTH),
+], ids=["coarsest", "history", "check_colouring", "divergent", "equivalent",
+        "sat", "merge", "complete_traces"])
+def test_every_engine_reuses_the_one_cached_index(use, kinds):
+    """The first use builds ``g.index``, a second finds it, and nothing
+    else is cached on the structure."""
     for g in _fresh_structures():
+        if not isinstance(g, kinds):
+            continue
+        fields = set(g.__dict__)
         use(g)
-        assert "adjacency" not in g.__dict__
+        index = g.__dict__["index"]     # built on first use
+        use(g)
+        assert g.index is index
+        assert set(g.__dict__) == fields | {"index"}

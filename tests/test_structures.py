@@ -313,4 +313,4 @@ def test_check_state_scans_the_states():
     l.check_state("z")
     with pytest.raises(ValueError, match="unknown state 'nope'"):
         l.check_state("nope")
-    assert "adjacency" not in l.__dict__
+    assert "index" not in l.__dict__

@@ -84,8 +84,11 @@ def test_eta_preserves_and_reflects_equivalences():
         lifted = associated_lts(d)
         for v in (DB, DS, ED):
             original = coarsest_partition_lts(l, v)
-            projected = coarsest_partition_lts(lifted, v).restrict(l.states)
+            part = coarsest_partition_lts(lifted, v)
+            projected = part.restrict(l.states)
             assert original == projected
+            # a generator of the states is read once, like a tuple
+            assert part.restrict(s for s in l.states) == projected
 
 
 # --- Kripke-to-doubly-labelled --------------------------------------------------

@@ -16,8 +16,8 @@ from dtk.linear import (
 from dtk.logic import (
     And, ExistsG, ExistsGInf, ExistsUntil, Not, Prop, parse_formula)
 from dtk.structures import (
-    Adjacency, ConsistencyReport, DoublyLabelledTS, KripkeStructure, Lts,
-    Path, StructureError)
+    ConsistencyReport, DoublyLabelledTS, KripkeStructure, Lts, Path,
+    StateIndex, StructureError)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -52,8 +52,9 @@ def test_reprs_name_every_field():
         "TraceVerdict(equal=False, exact=True, witness=('s', ()))"
     assert repr(ConsistencyReport(True, ())) == \
         "ConsistencyReport(consistent=True, violations=())"
-    assert repr(Adjacency({}, {}, ())) == \
-        "Adjacency(succ={}, pred={}, deadlocks=())"
+    assert repr(StateIndex({}, [], [], ["tau"], [])) == (
+        "StateIndex(number={}, succ=[], preds=[], actions=['tau'], "
+        "deadlock=[])")
     assert repr(LtlWitness(PInfinity(), "s", "t")) == \
         "LtlWitness(formula=PInfinity(), holds_from='s', fails_from='t')"
     assert repr(SampleReport(EquivVariant.EXPLICIT_DIVERGENCE, 1, 1, (), 7)) \
@@ -162,7 +163,7 @@ def test_copies_are_equal_values():
                      pickle.loads(pickle.dumps(value))):
             assert twin == value and repr(twin) == repr(value)
     k = _ks()
-    assert k.adjacency is k.adjacency       # a cached property
+    assert k.index is k.index       # a cached property
     twin = copy.deepcopy(k)
-    assert twin.adjacency.succ == {"a": [(None, "b")], "b": []}
+    assert twin.index.succ == [[(0, 1)], []]
     assert twin.successors("a") == ["b"]

@@ -80,6 +80,20 @@ def trace_graphs(draw):
         (u, v) for (u, _, v) in transitions)))
 
 
+def name_keyed_steps(g):
+    """Reference successor and predecessor maps keyed by state name, built
+    from ``g.transitions``: ``succ[s]`` holds the ``(action, target)``
+    pairs of the steps from ``s`` (action None on a Kripke structure) and
+    ``pred[s]`` the sources of the steps into ``s``, in transition order."""
+    succ = {s: [] for s in g.states}
+    pred = {s: [] for s in g.states}
+    for t in g.transitions:
+        (u, a, v) = (t[0], None, t[1]) if len(t) == 2 else t
+        succ[u].append((a, v))
+        pred[v].append(u)
+    return succ, pred
+
+
 def every_colouring(g):
     """The trivial colouring, the labelling of a Kripke structure, and
     the coarsest partition of every variant."""
@@ -95,7 +109,7 @@ def path_search_traces(g, s, colouring, bound):
     consults the current path at every state (no configuration is
     skipped)."""
     colour = _colouring_fn(g, colouring)
-    edges = g.adjacency.succ
+    edges, _ = name_keyed_steps(g)
     is_lts = isinstance(g, Lts)
     emitted = set()
     open_seen = [False]
