@@ -38,11 +38,16 @@ round would not split it either; every round therefore yields the same
 partition as one that recomputes all states.  A block of one state
 never splits and is never computed.  The result is canonicalised once,
 at the end.
+
+``logic.distinguish`` reads the rounds as they are, one tuple of block
+ids per round, and asks ``_state_signature`` for the few signatures a
+split needs; observations leave this module as ``(action id, block
+id)`` pairs.  ``refinement_history`` canonicalises every round and
+computes every signature, for tests and tools that read a whole round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from enum import Enum
 
 from .graphs import strongly_connected_components
@@ -195,58 +200,24 @@ def _block_signatures(members, block, index, variant):
     return sigs
 
 
-class _Signatures(Mapping):
-    """Every state's ``Signature`` over a partition, as a read-only
-    mapping.  The first lookup of a state runs the block kernel over the
-    states it reaches by inert steps, which are all its signature depends
-    on, and decodes the observations to ``(action, block id)``.  A later
-    lookup may walk some of those states again; ``distinguish`` reads a
-    few states of a round, which on a long history costs far less than a
-    pass over each of their blocks."""
-
-    def __init__(self, g, part, variant):
-        self._states = g.states
-        self._variant = variant
-        self._index = g.index
-        self._block = list(map(part.block_of.__getitem__, g.states))
-        self._sigs = {}
-
-    def __getitem__(self, s):
-        if s not in self._sigs:
-            self._compute(s)
-        return self._sigs[s]
-
-    def __iter__(self):
-        return iter(self._states)
-
-    def __len__(self):
-        return len(self._states)
-
-    def _compute(self, s):
-        index = self._index
-        block = self._block
-        succ = index.succ
-        start = index.number[s]
-        own = block[start]
-        reach, seen = [start], {start}
-        for u in reach:
-            for (a, v) in succ[u]:
-                if not a and block[v] == own and v not in seen:
-                    seen.add(v)
-                    reach.append(v)
-        actions = index.actions
-        width = len(actions)
-        # members of an SCC share one tuple; decode it once
-        decoded = {}
-        for u, (obs, div, comp) in _block_signatures(
-                reach, block, index, self._variant).items():
-            key = id(obs), div, comp
-            sig = decoded.get(key)
-            if sig is None:
-                sig = decoded[key] = Signature(
-                    frozenset((actions[c % width], c // width) for c in obs),
-                    div, comp)
-            self._sigs[self._states[u]] = sig
+def _state_signature(g, block, u, variant):
+    """The signature of state id ``u`` over per-state block ids ``block``:
+    its observations as ``(action id, block id)`` pairs, and its
+    divergence and completion bits (None where the variant has none).
+    It runs the block kernel over the states ``u`` reaches by inert
+    steps, which are all its signature depends on."""
+    index = g.index
+    succ = index.succ
+    own = block[u]
+    reach, seen = [u], {u}
+    for x in reach:
+        for (a, v) in succ[x]:
+            if not a and block[v] == own and v not in seen:
+                seen.add(v)
+                reach.append(v)
+    obs, div, comp = _block_signatures(reach, block, index, variant)[u]
+    width = len(index.actions)
+    return frozenset((c % width, c // width) for c in obs), div, comp
 
 
 def _initial_blocks(g):
@@ -329,20 +300,26 @@ def _rounds(g, variant: EquivVariant):
 
 
 def refinement_history(g, variant: EquivVariant):
-    """All refinement rounds as (partition, signatures) pairs, as
-    ``distinguish`` reads them.
+    """All refinement rounds as (partition, signatures) pairs.
 
     The first entry is the initial partition with no signatures; each
-    later entry holds the partition a round produced and every state's
-    signature over the previous partition (block ids canonical), as a
-    mapping that computes a block's signatures when one of its states is
-    first looked up.
+    later entry holds the partition a round produced and a dict of every
+    state's ``Signature`` over the previous partition: observations as
+    ``(action, block id)`` pairs, block ids canonical.
     """
+    actions = g.index.actions
+    width = len(actions)
     history = []
     prev = None
     for block in _rounds(g, variant):
         part = _partition(g.states, block)
-        sigs = None if prev is None else _Signatures(g, prev, variant)
+        sigs = None
+        if prev is not None:
+            sigs = {g.states[u]: Signature(
+                        frozenset((actions[c % width], c // width) for c in obs),
+                        div, comp)
+                    for kernel in _block_kernels(g, prev, variant)
+                    for u, (obs, div, comp) in kernel.items()}
         history.append((part, sigs))
         prev = part
     return history

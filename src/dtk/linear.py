@@ -395,6 +395,7 @@ def maximal_path_representatives(k: KripkeStructure, s) -> list:
     Complete for the contracted-trace witnesses needed at small scale;
     paths revisiting a state beyond the lasso closure are not listed.
     """
+    k.check_state(s)
     index = k.index
     succ = index.succ
     u = index.number[s]

@@ -444,49 +444,51 @@ def distinguish(k: KripkeStructure, s, t,
     """A formula valid at ``s`` but not at ``t``, or None when the states
     are equivalent under the variant.
 
-    The construction walks the refinement history: a label difference
-    yields a literal; a block split by an observation yields an
-    existential until over block-characterising formulas; splits by the
-    divergence or completion bit yield an infinite-globally or globally
-    formula.  Check divergence-blind formulas under the divergence-blind
+    The construction walks the refinement rounds, each a tuple of block
+    ids by state id: a label difference yields a literal; a block split
+    by an observation yields an existential until over
+    block-characterising formulas; splits by the divergence or completion
+    bit yield an infinite-globally or globally formula.  A state's
+    signature is computed only when a split needs it.  Blocks are taken
+    in the order of their first-declared members, the order of canonical
+    block ids.  Check divergence-blind formulas under the divergence-blind
     semantics and the others under maximal-path semantics.  The
     characterising formulas are built on an explicit stack, so no number
     of rounds is too deep.
     """
     k.check_state(s)
     k.check_state(t)
-    history = equivalences.refinement_history(k, variant)
-    final, _ = history[-1]
-    if final.same_block(s, t):
+    rounds = list(equivalences._rounds(k, variant))
+    number = k.index.number
+    s, t = number[s], number[t]
+    if rounds[-1][s] == rounds[-1][t]:
         return None
-
+    # one int object per state id, shared by every round's ``firsts``
+    ids = list(range(len(k.states)))
     levels = {}
 
     def level_index(level):
-        """The first-declared member of each block of a round, and the
-        blocks inside each block of the round before that split, in
-        ascending id: one pass over the states, as canonical block ids
-        count first occurrences in declaration order."""
+        """The first-declared member of each block of a round, by block
+        id, and the blocks inside each block of the round before that
+        split, by first member: one pass over the states."""
         found = levels.get(level)
         if found is None:
-            block_of = history[level][0].block_of
-            before = history[level - 1][0].block_of if level else block_of
-            firsts, inside = [], {}
-            for x in k.states:
-                if block_of[x] == len(firsts):
-                    inside.setdefault(before[x], []).append(len(firsts))
-                    firsts.append(x)
+            block = rounds[level]
+            before = rounds[level - 1] if level else block
+            firsts = [None] * (max(block) + 1)   # block ids are dense
+            inside = {}
+            for x, b, a in zip(ids, block, before):
+                if firsts[b] is None:
+                    firsts[b] = x
+                    inside.setdefault(a, []).append(b)
             # most blocks do not split; only the index of those that do
             # is kept for the rest of the run
-            split = {b: ids for b, ids in inside.items() if len(ids) > 1}
+            split = {a: bs for a, bs in inside.items() if len(bs) > 1}
             found = levels[level] = firsts, split
         return found
 
-    def rep(level, bid):
-        return level_index(level)[0][bid]
-
     def label_literal(u, w):
-        lu, lw = k.labelling[u], k.labelling[w]
+        lu, lw = k.labelling[k.states[u]], k.labelling[k.states[w]]
         extra = sorted(lu - lw)
         if extra:
             return Prop(extra[0])
@@ -498,45 +500,47 @@ def distinguish(k: KripkeStructure, s, t,
 
         This and ``split_formula`` are generators: each ``yield (x, l)``
         asks ``build`` for ``charf(x, l)`` and receives the formula."""
-        own = history[level][0].block_of[u]
+        block = rounds[level]
+        firsts, split = level_index(level)
         if level == 0:
-            firsts = level_index(0)[0]
             conj = [label_literal(u, w)
-                    for bid, w in enumerate(firsts) if bid != own]
+                    for w in sorted(firsts) if block[w] != block[u]]
         else:
-            firsts, split = level_index(level)
             conj = [(yield u, level - 1)]
             # only blocks split off u's block of the round before differ;
             # a block that did not split holds only u's own
-            for bid in split.get(history[level - 1][0].block_of[u], ()):
-                if bid != own:
+            for b in split.get(rounds[level - 1][u], ()):
+                if b != block[u]:
                     conj.append((yield from split_formula(
-                        u, firsts[bid], level)))
+                        u, firsts[b], level)))
         return conj[0] if len(conj) == 1 else And(tuple(conj))
 
     def split_formula(u, w, level):
         """True at u's sub-block, false at w's, for a round-``level``
         split of their shared earlier block."""
-        sigs = history[level][1]
-        su, sw = sigs[u], sigs[w]
-        extra = sorted(su.observations - sw.observations,
-                       key=lambda o: (str(o[0]), o[1]))
-        if extra:
-            _, bid = extra[0]
+        firsts = level_index(level - 1)[0]
+
+        def rep(observations):
+            """The first-declared member of the least observation's
+            block; observations order by action id, then by block in
+            canonical order."""
+            return min((a, firsts[b]) for (a, b) in observations)[1]
+
+        (ou, du, cu), (ow, dw, cw) = (
+            equivalences._state_signature(k, rounds[level - 1], x, variant)
+            for x in (u, w))
+        if ou - ow:
             return ExistsUntil((yield u, level - 1),
-                               (yield rep(level - 1, bid), level - 1))
-        missing = sorted(sw.observations - su.observations,
-                         key=lambda o: (str(o[0]), o[1]))
-        if missing:
-            _, bid = missing[0]
+                               (yield rep(ou - ow), level - 1))
+        if ow - ou:
             return Not(ExistsUntil((yield w, level - 1),
-                                   (yield rep(level - 1, bid), level - 1)))
-        if su.divergent != sw.divergent:
-            if su.divergent:
+                                   (yield rep(ow - ou), level - 1)))
+        if du != dw:
+            if du:
                 return ExistsGInf((yield u, level - 1))
             return Not(ExistsGInf((yield w, level - 1)))
-        if su.completable != sw.completable:
-            if su.completable:
+        if cu != cw:
+            if cu:
                 return ExistsG((yield u, level - 1))
             return Not(ExistsG((yield w, level - 1)))
         raise AssertionError("states split without a signature difference")
@@ -557,19 +561,16 @@ def distinguish(k: KripkeStructure, s, t,
                 if key is not None:
                     char_cache[key] = value
                 continue
-            key = (level, history[level][0].block_of[u])
+            key = (level, rounds[level][u])
             value = char_cache.get(key)
             if value is None:
                 stack.append((charf(u, level), key))
         return value
 
-    for level in range(len(history)):
-        part = history[level][0]
-        if not part.same_block(s, t):
-            if level == 0:
-                return label_literal(s, t)
-            return build(split_formula(s, t, level))
-    raise AssertionError("unreachable: states differ in the final partition")
+    level = next(i for i, block in enumerate(rounds) if block[s] != block[t])
+    if level == 0:
+        return label_literal(s, t)
+    return build(split_formula(s, t, level))
 
 
 def semantics_for_variant(variant: equivalences.EquivVariant) -> Semantics:

@@ -211,8 +211,8 @@ class Lts(_StateGraph):
     def __init__(self, states, actions, transitions):
         d = self.__dict__
         d["states"] = _dedup(states)
-        d["actions"] = _dedup([TAU, *actions, *(a for (_, a, _) in transitions)])
-        d["transitions"] = self._checked(transitions)
+        d["transitions"] = trans = self._checked(transitions)
+        d["actions"] = _dedup([TAU, *actions, *(a for (_, a, _) in trans)])
 
     def successors(self, s):
         index = self.index

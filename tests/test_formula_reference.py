@@ -9,15 +9,24 @@ copies, and on generated Kripke structures, the two must agree.  The
 one intended difference: the reference reads ``)``, ``&`` and ``|`` in
 operand position as proposition names, and the parser now rejects them.
 
+``ref_distinguish`` is the distinguishing-formula construction as it
+read ``refinement_history``: a canonical partition and every state's
+signature per round.  ``distinguish`` reads the integer rounds and
+computes a signature only where a split needs one; its formulas must be
+the same.
+
 The last tests check the deadlock-extension theorems on generated
 inputs (the fixed-seed versions are in ``test_transforms.py``).
 """
 
 import copy
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtk import equivalences
+from dtk.equivalences import EquivVariant, refinement_history
 from dtk.logic import (
     _KEYWORDS,
     TRUE,
@@ -30,6 +39,7 @@ from dtk.logic import (
     Or,
     Prop,
     Semantics,
+    distinguish,
     formula_propositions,
     parse_formula,
     render_formula,
@@ -43,6 +53,7 @@ from dtk.transforms import deadlock_extension, encode_D, encode_E
 from tests_helpers import name_keyed_steps
 
 MAX = Semantics.MAXIMAL_PATH
+ED = EquivVariant.EXPLICIT_DIVERGENCE
 
 # ---------------------------------------------------------------------------
 # Reference parser and walkers
@@ -331,6 +342,113 @@ def ref_encode_E(phi):
     raise FormulaError(f"not a state formula: {phi!r}")
 
 
+def ref_distinguish(k, s, t, variant):
+    """The construction as it read ``refinement_history``: a canonical
+    ``Partition`` per round and every state's ``Signature`` over the
+    round before."""
+    k.check_state(s)
+    k.check_state(t)
+    history = refinement_history(k, variant)
+    final, _ = history[-1]
+    if final.same_block(s, t):
+        return None
+
+    levels = {}
+
+    def level_index(level):
+        found = levels.get(level)
+        if found is None:
+            block_of = history[level][0].block_of
+            before = history[level - 1][0].block_of if level else block_of
+            firsts, inside = [], {}
+            for x in k.states:
+                if block_of[x] == len(firsts):
+                    inside.setdefault(before[x], []).append(len(firsts))
+                    firsts.append(x)
+            split = {b: ids for b, ids in inside.items() if len(ids) > 1}
+            found = levels[level] = firsts, split
+        return found
+
+    def rep(level, bid):
+        return level_index(level)[0][bid]
+
+    def label_literal(u, w):
+        lu, lw = k.labelling[u], k.labelling[w]
+        extra = sorted(lu - lw)
+        if extra:
+            return Prop(extra[0])
+        missing = sorted(lw - lu)
+        return Not(Prop(missing[0]))
+
+    def charf(u, level):
+        own = history[level][0].block_of[u]
+        if level == 0:
+            firsts = level_index(0)[0]
+            conj = [label_literal(u, w)
+                    for bid, w in enumerate(firsts) if bid != own]
+        else:
+            firsts, split = level_index(level)
+            conj = [(yield u, level - 1)]
+            for bid in split.get(history[level - 1][0].block_of[u], ()):
+                if bid != own:
+                    conj.append((yield from split_formula(
+                        u, firsts[bid], level)))
+        return conj[0] if len(conj) == 1 else And(tuple(conj))
+
+    def split_formula(u, w, level):
+        sigs = history[level][1]
+        su, sw = sigs[u], sigs[w]
+        extra = sorted(su.observations - sw.observations,
+                       key=lambda o: (str(o[0]), o[1]))
+        if extra:
+            _, bid = extra[0]
+            return ExistsUntil((yield u, level - 1),
+                               (yield rep(level - 1, bid), level - 1))
+        missing = sorted(sw.observations - su.observations,
+                         key=lambda o: (str(o[0]), o[1]))
+        if missing:
+            _, bid = missing[0]
+            return Not(ExistsUntil((yield w, level - 1),
+                                   (yield rep(level - 1, bid), level - 1)))
+        if su.divergent != sw.divergent:
+            if su.divergent:
+                return ExistsGInf((yield u, level - 1))
+            return Not(ExistsGInf((yield w, level - 1)))
+        if su.completable != sw.completable:
+            if su.completable:
+                return ExistsG((yield u, level - 1))
+            return Not(ExistsG((yield w, level - 1)))
+        raise AssertionError("states split without a signature difference")
+
+    def build(gen):
+        char_cache = {}
+        stack = [(gen, None)]
+        value = None
+        while stack:
+            top, key = stack[-1]
+            try:
+                u, level = top.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                if key is not None:
+                    char_cache[key] = value
+                continue
+            key = (level, history[level][0].block_of[u])
+            value = char_cache.get(key)
+            if value is None:
+                stack.append((charf(u, level), key))
+        return value
+
+    for level in range(len(history)):
+        part = history[level][0]
+        if not part.same_block(s, t):
+            if level == 0:
+                return label_literal(s, t)
+            return build(split_formula(s, t, level))
+    raise AssertionError("unreachable: states differ in the final partition")
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -453,6 +571,35 @@ def test_sat_matches_reference(k, formulas, semantics):
         assert [_outcome(sat, g, phi, semantics) for phi in formulas] == want
         if all(isinstance(w, frozenset) for w in want):
             assert sat_many(g, formulas, semantics) == want
+
+
+# ---------------------------------------------------------------------------
+# Distinguishing formulas
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(kripke_structures())
+def test_distinguish_matches_reference(k):
+    for variant in EquivVariant:
+        for s, t in itertools.product(k.states, repeat=2):
+            assert (repr(distinguish(k, s, t, variant))
+                    == repr(ref_distinguish(k, s, t, variant)))
+
+
+def test_distinguish_builds_no_partition_per_round(monkeypatch):
+    # an alternating chain splits one block per round
+    states = tuple(f"c{i}" for i in range(12))
+    k = KripkeStructure(
+        states, {s: {"pq"[i % 2]} for i, s in enumerate(states)},
+        tuple(zip(states, states[1:])))
+    want = repr(ref_distinguish(k, "c0", "c2", ED))
+
+    def refuse(*args):
+        raise AssertionError("a canonical partition was built")
+
+    monkeypatch.setattr(equivalences, "_partition", refuse)
+    monkeypatch.setattr(equivalences, "refinement_history", refuse)
+    assert repr(distinguish(k, "c0", "c2", ED)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,9 @@ def test_unknown_state_is_a_value_error():
     for search in (complete_traces, coloured_traces):
         with pytest.raises(ValueError, match="unknown state 'nope'"):
             search(l, "nope", "trivial", 3)
+    k = KripkeStructure(("a",), {}, ())
+    with pytest.raises(ValueError, match="unknown state 'nope'"):
+        maximal_path_representatives(k, "nope")
 
 
 # --- the search against a plain path search ---------------------------------

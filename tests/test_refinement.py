@@ -31,7 +31,7 @@ from dtk.equivalences import (
     refinement_history,
 )
 from dtk.linear import complete_traces
-from dtk.logic import Semantics, parse_formula, sat
+from dtk.logic import Semantics, distinguish, parse_formula, sat
 from dtk.structures import KripkeStructure, Lts, TAU
 
 DB = EquivVariant.DIVERGENCE_BLIND
@@ -275,10 +275,12 @@ BOTH = (Lts, KripkeStructure)
     (lambda g: equivalent(g, "a", "b", DB), BOTH),
     (lambda g: sat(g, parse_formula("EG p & E (p U ~p)"),
                    Semantics.MAXIMAL_PATH), (KripkeStructure,)),
+    (lambda g: [distinguish(g, "a", t, DS) for t in "bc"],
+     (KripkeStructure,)),
     (lambda g: merge(g, "a", g, "c"), (Lts,)),
     (lambda g: complete_traces(g, "a", "trivial", 3), BOTH),
 ], ids=["coarsest", "history", "check_colouring", "divergent", "equivalent",
-        "sat", "merge", "complete_traces"])
+        "sat", "distinguish", "merge", "complete_traces"])
 def test_every_engine_reuses_the_one_cached_index(use, kinds):
     """The first use builds ``g.index``, a second finds it, and nothing
     else is cached on the structure."""

@@ -181,6 +181,10 @@ def test_structure_rejects_wrong_transition_arity():
         KripkeStructure(("a",), {"a": set()}, (("a", "x", "a"),))
     with pytest.raises(ValueError):
         DoublyLabelledTS(("a",), {"a": set()}, (("a", "a"),))
+    for step in (("a", "a"), ("a", "x", "a", "a")):
+        with pytest.raises(StructureError,
+                           match=r"^malformed transition"):
+            Lts(("a",), (), (step,))
 
 
 def test_delta_label_needs_flag():
