@@ -2,8 +2,8 @@
 
 One batch command per invocation; exit codes are a stable contract:
 0 for success / equivalent / true, 1 for distinguished / false /
-inconsistent, 2 for usage or input errors.  ``--json`` wraps any result
-in a versioned envelope.
+inconsistent, 2 for usage or input errors.  ``--json`` wraps a printed
+result in a versioned envelope; model text is never wrapped.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _load_model(path, kind, allow_delta=False):
 
 
 def _emit(args, command, result, plain_lines):
-    if getattr(args, "json", False):
+    if args.json:
         import json     # only --json pays for it
         print(json.dumps({"version": 1, "command": command, "result": result},
                          sort_keys=True))
@@ -240,9 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "temporal-logic toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable envelope")
+    # compose reads neither flag; transform writes model text, not an
+    # envelope, so it takes no --json
+    def common(p, json=True):
+        if json:
+            p.add_argument("--json", action="store_true",
+                           help="emit a machine-readable envelope")
         p.add_argument("--allow-delta", action="store_true",
                        help="accept the reserved deadlock proposition "
                             "(for re-reading dext output)")
@@ -278,14 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
                                     "total-all"), required=True)
     p.add_argument("--model", required=True)
     p.add_argument("-o", "--output", default=None)
-    common(p)
+    common(p, json=False)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("compose", help="interleaving merge of two LTS states")
     p.add_argument("--left", required=True, metavar="FILE:STATE")
     p.add_argument("--right", required=True, metavar="FILE:STATE")
     p.add_argument("-o", "--output", default=None)
-    common(p)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("consistency", help="doubly-labelled agreement check")

@@ -41,9 +41,10 @@ at the end.
 
 ``logic.distinguish`` reads the rounds as they are, one tuple of block
 ids per round, and asks ``_state_signature`` for the few signatures a
-split needs; observations leave this module as ``(action id, block
-id)`` pairs.  ``refinement_history`` canonicalises every round and
-computes every signature, for tests and tools that read a whole round.
+split needs: the same Tarjan pass, started from that one state.
+Observations leave this module as ``(action id, block id)`` pairs.
+``refinement_history`` canonicalises every round and computes every
+signature, for tests and tools that read a whole round.
 """
 
 from __future__ import annotations
@@ -152,11 +153,12 @@ class Signature(Value):
 
 
 def _block_signatures(members, block, index, variant):
-    """Signatures of one block's members, as ``(observations, divergent,
-    completable)`` tuples keyed by state id, from one Tarjan pass over
-    the block's inert graph.  A step ``(a, v)`` is inert iff ``a`` is the
-    silent action 0 and ``v`` is in the block.  An observation ``(a,
-    block(v))`` is encoded as the integer ``block(v) * len(actions) + a``."""
+    """Signatures of one block's members and of every state they reach
+    by inert steps, as ``(observations, divergent, completable)`` tuples
+    keyed by state id, from one Tarjan pass over the block's inert
+    graph.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
+    and ``v`` is in the block.  An observation ``(a, block(v))`` is
+    encoded as the integer ``block(v) * len(actions) + a``."""
     need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
     need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
     succ, deadlock = index.succ, index.deadlock
@@ -204,18 +206,10 @@ def _state_signature(g, block, u, variant):
     """The signature of state id ``u`` over per-state block ids ``block``:
     its observations as ``(action id, block id)`` pairs, and its
     divergence and completion bits (None where the variant has none).
-    It runs the block kernel over the states ``u`` reaches by inert
-    steps, which are all its signature depends on."""
+    The block kernel's Tarjan pass, started from ``u`` alone, covers
+    exactly the states ``u`` reaches by inert steps: all it depends on."""
     index = g.index
-    succ = index.succ
-    own = block[u]
-    reach, seen = [u], {u}
-    for x in reach:
-        for (a, v) in succ[x]:
-            if not a and block[v] == own and v not in seen:
-                seen.add(v)
-                reach.append(v)
-    obs, div, comp = _block_signatures(reach, block, index, variant)[u]
+    obs, div, comp = _block_signatures([u], block, index, variant)[u]
     width = len(index.actions)
     return frozenset((c % width, c // width) for c in obs), div, comp
 

@@ -5,25 +5,29 @@ The cycle and reachability walks run over the integer state ids of a
 structure's ``StateIndex``, restricted to the subgraph induced by a node
 set: the cycle search reads its ``(action id, target)`` successor pairs,
 the backward search its plain predecessor lists.  The component search
-takes any successor function.
+takes any successor function, which may lead out of its start nodes:
+it then finds the components of everything the start nodes reach.
 """
 
 from __future__ import annotations
 
+import sys
+
 
 def strongly_connected_components(nodes, follow):
-    """Yield the strongly connected components of the graph on ``nodes``
-    whose edges from ``v`` are the nodes in ``follow(v)``, each as a list.
+    """Yield the strongly connected components of the graph reached from
+    ``nodes``, whose edges from ``v`` go to the nodes in ``follow(v)``
+    (which may leave ``nodes``), each as a list.
 
     Iterative Tarjan: a component is yielded only after every component
     it reaches, so a consumer can fold results successors-first.  The
-    members of a yielded component get an index above every real one,
-    so an edge into it never lowers a link value.
+    members of a yielded component get index ``sys.maxsize``, above
+    every real one, so an edge into it never lowers a link value.
     """
     index = {}
     low = {}
     stack = []
-    done = len(nodes)
+    done = sys.maxsize
     for root in nodes:
         if root in index:
             continue

@@ -2,6 +2,9 @@
 decisions, path-formula evaluation on finite maximal paths and lassos,
 and the interleaving algebra on marked trace sets.
 
+Path formulas are folded by ``logic._fold``, the walk that state
+formulas use, with ``_path_children`` listing their subformulas.
+
 A contracted trace records the colour changes (and, on an LTS, the
 actions) along a path; runs of silent steps inside one colour disappear.
 Completion markers tell how the underlying path ends:
@@ -25,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import combinations
 
-from . import equivalences
+from . import equivalences, logic
 from .graphs import tarjan_cycle_states
 from .structures import (
     KripkeStructure, Lts, Path, Value, path_is_maximal, path_is_valid)
@@ -322,6 +325,7 @@ P_TRUE = PAnd(())
 
 
 def _path_children(f) -> tuple:
+    """The subformulas of a path-formula node, in order."""
     match f:
         case PProp() | PInfinity():
             return ()
@@ -337,11 +341,11 @@ def _path_children(f) -> tuple:
 def eval_path_formula(k: KripkeStructure, psi, path: Path) -> bool:
     """Suffix semantics on a maximal path.
 
-    Every subformula is labelled once at each position of the path,
-    children first, on an explicit stack.  A lasso's last position steps
-    back to its first cycle position, so an until is a backward scan
-    that goes round the cycle twice: the first round settles the first
-    cycle position.  The infinity modality holds exactly on lassos.
+    Every distinct subformula is labelled once at each position of the
+    path, children first, by ``logic._fold``.  A lasso's last position
+    steps back to its first cycle position, so an until is a backward
+    scan that goes round the cycle twice: the first round settles the
+    first cycle position.  The infinity modality holds exactly on lassos.
     """
     if not path_is_valid(k, path):
         raise ValueError("path does not follow the structure's transitions")
@@ -372,21 +376,7 @@ def eval_path_formula(k: KripkeStructure, psi, path: Path) -> bool:
             out[i] = rhs[i] or (lhs[i] and out[nxt[i]])
         return out[:n]
 
-    labels = {}     # id of a subformula of psi -> its truth at each position
-    stack = [psi]
-    while stack:
-        f = stack[-1]
-        if id(f) in labels:
-            stack.pop()
-            continue
-        kids = _path_children(f)
-        todo = [c for c in kids if id(c) not in labels]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        labels[id(f)] = label(f, [labels[id(c)] for c in kids])
-    return labels[id(psi)][0]
+    return logic._fold(psi, label, children=_path_children)[0]
 
 
 def maximal_path_representatives(k: KripkeStructure, s) -> list:

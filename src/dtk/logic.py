@@ -15,8 +15,10 @@ Existential until has the same least-fixpoint semantics either way
 Every walk over a formula is one ``_fold``: a post-order walk on an
 explicit stack that calls a per-node ``visit`` once per distinct
 subformula, shared or an equal copy, with the values of its children.
-``_children`` alone lists the subformulas of each node kind.  The parser
-is one loop over the tokens, so no formula is too deep for either.
+``_children`` alone lists the subformulas of each state-formula kind;
+``linear`` folds its path formulas with the same walk and its own
+children function.  The parser is one loop over the tokens, so no
+formula is too deep for either.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import reduce
+from itertools import chain, islice
 
 from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
@@ -98,11 +101,6 @@ def Or(a, b):
     return _or(_new, a, b)
 
 
-def AllG(sub):
-    """No maximal path escapes ``sub``: ~E(true U ~sub)."""
-    return _all_g(_new, sub)
-
-
 class Semantics(Enum):
     DIVERGENCE_BLIND = "db"
     MAXIMAL_PATH = "max"
@@ -126,14 +124,16 @@ def _children(f) -> tuple:
     raise FormulaError(f"not a state formula: {f!r}")
 
 
-def _fold(phi, visit, memo=None):
-    """``visit(node, values of its children)`` at ``phi``, children first.
+def _fold(phi, visit, memo=None, children=_children):
+    """``visit(node, values of its children)`` at ``phi``, children first;
+    ``children`` lists a node's subformulas.
 
-    A node's key is its kind and its children's numbers (a proposition's
-    is its name), so ``visit`` runs once per distinct subformula and no
-    lookup hashes a formula.  ``memo`` maps a key to ``(number, value)``
-    and ``id(node)`` to ``(number, value, node)``; holding the node keeps
-    its id from being reused.  Folds with one ``visit`` may share a memo.
+    A node's key is its kind and its children's numbers (a leaf's is its
+    kind and its fields, so a proposition's is its name), so ``visit``
+    runs once per distinct subformula and no lookup hashes a formula.
+    ``memo`` maps a key to ``(number, value)`` and ``id(node)`` to
+    ``(number, value, node)``; holding the node keeps its id from being
+    reused.  Folds with one ``visit`` may share a memo.
     """
     memo = {} if memo is None else memo
     stack = [phi]
@@ -142,14 +142,14 @@ def _fold(phi, visit, memo=None):
         if id(f) in memo:
             stack.pop()
             continue
-        kids = _children(f)
+        kids = children(f)
         todo = [c for c in kids if id(c) not in memo]
         if todo:
             stack.extend(reversed(todo))
             continue
         stack.pop()
-        key = ((Prop, f.name) if type(f) is Prop
-               else (type(f), *(memo[id(c)][0] for c in kids)))
+        key = ((type(f), *(memo[id(c)][0] for c in kids)) if kids
+               else (type(f), f._fields(f)))
         found = memo.get(key)
         if found is None:
             found = memo[key] = (
@@ -392,47 +392,32 @@ def enumerate_formulas(props, depth: int, budget: int,
 
     Depth 0 holds the positive atoms and their negations; each further
     level adds every until/always combination over the previous level
-    (and their negations), deduplicated, truncated to ``budget``.
+    (and their negations), deduplicated, truncated to ``budget`` (>= 0).
     """
     if depth > 4:
         raise ValueError("enumeration depth is capped at 4")
+    if budget < 0:
+        raise ValueError("budget must not be negative")
     atoms = [TRUE] + [Prop(p) for p in sorted(props)]
-    level = atoms + [Not(f) for f in atoms]
-    out = list(level[:budget])
-    seen = set(out)
+    unary = (ExistsG, ExistsGInf) if include_infinity else (ExistsG,)
 
-    def push(f, fresh):
-        if len(out) >= budget:
-            return False
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-            fresh.append(f)
-        return len(out) < budget
+    def candidates(level):
+        for f in chain((ExistsUntil(a, b) for a in level for b in level),
+                       (op(sub) for sub in level for op in unary)):
+            yield f
+            yield Not(f)
 
-    for _ in range(depth):
-        fresh = []
-        more = True
-        for lhs in level:
-            for rhs in level:
-                more = (push(ExistsUntil(lhs, rhs), fresh)
-                        and push(Not(ExistsUntil(lhs, rhs)), fresh))
-                if not more:
-                    break
-            if not more:
-                break
-        if more:
-            for f in level:
-                more = push(ExistsG(f), fresh) and push(Not(ExistsG(f)), fresh)
-                if more and include_infinity:
-                    more = (push(ExistsGInf(f), fresh)
-                            and push(Not(ExistsGInf(f)), fresh))
-                if not more:
-                    break
-        level = level + fresh
-        if not more:
-            break
-    return out
+    def formulas():
+        seen = {}   # each formula yielded so far, in order: the levels
+        batch = atoms + [Not(f) for f in atoms]
+        for _ in range(max(depth, 0) + 1):
+            for f in batch:
+                if f not in seen:
+                    seen[f] = None
+                    yield f
+            batch = candidates(list(seen))
+
+    return list(islice(formulas(), budget))
 
 
 # ---------------------------------------------------------------------------

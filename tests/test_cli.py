@@ -322,3 +322,22 @@ def test_unwritable_output_exits_2(capsys, stutter_ks, merge_lts, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("flag, command", [
+    ("--json", "transform"), ("--json", "compose"),
+    ("--allow-delta", "compose")])
+def test_a_flag_a_command_ignores_is_a_usage_error(capsys, stutter_ks,
+                                                   merge_lts, flag, command):
+    # transform and compose write model text, never an envelope, and
+    # compose reads only LTSs
+    if command == "transform":
+        argv = ("transform", "--op", "dext", "--model", stutter_ks)
+    else:
+        argv = ("compose", "--left", f"{merge_lts}:0",
+                "--right", f"{merge_lts}:a")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, flag])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err

@@ -263,6 +263,11 @@ def test_enumeration_budget_truncates():
     assert len(enumerate_formulas({"p", "q"}, 2, 50)) == 50
 
 
+def test_enumeration_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_formulas(("p",), 1, -1)
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_formulas({"p", "q"}, 2, 300)
     b = enumerate_formulas({"p", "q"}, 2, 300)
