@@ -3,7 +3,9 @@
 One batch command per invocation; exit codes are a stable contract:
 0 for success / equivalent / true, 1 for distinguished / false /
 inconsistent, 2 for usage or input errors.  ``--json`` wraps a printed
-result in a versioned envelope; model text is never wrapped.
+result in a versioned envelope; model text is never wrapped.  A model
+file is parsed as it is read, and model text is written as it is
+rendered, so no command holds a model's whole text.
 """
 
 from __future__ import annotations
@@ -11,18 +13,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from . import compose, equivalences, linear, logic, transforms
 from .structures import (
     FormatError,
     StructureError,
+    _render,
     check_consistency,
     parse_ks,
     parse_l2ts,
     parse_lts,
-    render_ks,
-    render_l2ts,
-    render_lts,
 )
 
 DEFAULT_TRACE_BOUND = 12
@@ -37,24 +38,41 @@ class _Failure(Exception):
     """Input or validation problem; terminates with exit code 2."""
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as err:
-        raise _Failure(f"cannot read {path}: {err}") from err
+def _file_lines(handle, size=1 << 16):
+    """The lines of an open text file as ``str.splitlines`` gives them on
+    the whole text, with their line breaks.  Each chunk is split in one
+    call; its last piece is carried into the next chunk, which may end a
+    line that ends with "\\r" or continue a line.  A chunk is at least as
+    long as the carried piece, so a long line costs linear time."""
+    carry = ""
+    while chunk := handle.read(max(size, len(carry))):
+        lines = (carry + chunk).splitlines(keepends=True)
+        carry = lines.pop()
+        yield from lines
+    if carry:
+        yield carry
 
 
 def _load_model(path, kind, allow_delta=False):
-    text = _read(path)
+    """Parse a model file as it is read; the text is never held whole."""
     try:
-        if kind == "ks":
-            return parse_ks(text, allow_delta=allow_delta)
-        if kind == "lts":
-            return parse_lts(text)
-        return parse_l2ts(text, allow_delta=allow_delta)
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = _file_lines(handle)
+            if kind == "ks":
+                return parse_ks(lines, allow_delta=allow_delta)
+            if kind == "lts":
+                return parse_lts(lines)
+            return parse_l2ts(lines, allow_delta=allow_delta)
+    except OSError as err:
+        raise _Failure(f"cannot read {path}: {err}") from err
     except (FormatError, StructureError) as err:
         raise _Failure(f"{path}: {err}") from err
+    except UnicodeDecodeError:
+        # the error counts bytes from the start of a chunk; decoding the
+        # whole file raises it again with the offset in the file
+        with open(path, "rb") as handle:
+            handle.read().decode("utf-8")
+        raise
 
 
 def _emit(args, command, result, plain_lines):
@@ -126,34 +144,35 @@ def cmd_distinguish(args) -> int:
 
 def cmd_transform(args) -> int:
     op = args.op
+    if args.allow_delta and op in ("eta", "dext"):
+        # eta reads an LTS, and dext does not extend its own output again
+        args.usage_error(f"argument --allow-delta: not allowed with --op {op}")
+    header = ()
     if op == "eta":
-        model = _load_model(args.model, "lts")
-        result, _ = transforms.eta_midpoint(model)
-        text = render_l2ts(result)
-    elif op == "ks2l2ts":
-        model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
-        text = render_l2ts(transforms.ks_to_l2ts(model))
-    elif op == "dext":
-        model = _load_model(args.model, "ks")
-        extended, sink = transforms.deadlock_extension(model)
-        text = f"# deadlock sink: {sink}\n" + render_ks(extended)
-    elif op == "total-dl":
-        model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
-        text = render_ks(transforms.totalize_deadlock_selfloops(model))
+        result, _ = transforms.eta_midpoint(_load_model(args.model, "lts"))
     else:
         model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
-        text = render_ks(transforms.totalize_all_selfloops(model))
-    _write_output(args.output, text)
+        if op == "ks2l2ts":
+            result = transforms.ks_to_l2ts(model)
+        elif op == "dext":
+            result, sink = transforms.deadlock_extension(model)
+            header = (f"# deadlock sink: {sink}\n",)
+        elif op == "total-dl":
+            result = transforms.totalize_deadlock_selfloops(model)
+        else:
+            result = transforms.totalize_all_selfloops(model)
+    _write_output(args.output, chain(header, _render(result)))
     return 0
 
 
-def _write_output(path, text):
+def _write_output(path, lines):
+    """Write model text line by line, as the renderer yields it."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     except OSError as err:
         raise _Failure(f"cannot write {path}: {err}") from err
 
@@ -176,8 +195,8 @@ def cmd_compose(args) -> int:
         except ValueError as err:
             raise _Failure(f"{err} in {origin}") from err
     product, root = compose.merge(l1, left_state, l2, right_state)
-    text = f"# root: {root}\n" + render_lts(product)
-    _write_output(args.output, text)
+    header = f"# root: {root}\n"
+    _write_output(args.output, chain((header,), _render(product)))
     return 0
 
 
@@ -282,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("-o", "--output", default=None)
     common(p, json=False)
-    p.set_defaults(func=cmd_transform)
+    p.set_defaults(func=cmd_transform, usage_error=p.error)
 
     p = sub.add_parser("compose", help="interleaving merge of two LTS states")
     p.add_argument("--left", required=True, metavar="FILE:STATE")

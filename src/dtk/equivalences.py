@@ -20,7 +20,13 @@ members' non-inert steps plus the observations of the components its
 inert steps enter; it diverges when it has an internal inert step (a
 cycle or a self-loop) or enters a divergent component, and it can
 complete when it diverges, holds a deadlock state or enters a
-component that can complete.  All members share one signature.
+component that can complete.  All members share one record
+``(observations, divergent, completable)``, and within one pass equal
+observation sets and equal records are one shared object, so a block
+holds one record per distinct signature, not one per state.  A round
+buckets the records by the part its variant compares: the divergence
+bit under explicit divergence, the completion bit under divergence
+sensitivity, neither when divergence blind.
 
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
@@ -152,15 +158,14 @@ class Signature(Value):
         d["completable"] = completable
 
 
-def _block_signatures(members, block, index, variant):
-    """Signatures of one block's members and of every state they reach
+def _block_signatures(members, block, index):
+    """The records of one block's members and of every state they reach
     by inert steps, as ``(observations, divergent, completable)`` tuples
     keyed by state id, from one Tarjan pass over the block's inert
-    graph.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
+    graph.  Equal observation sets, and equal records, are one shared
+    object.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
     and ``v`` is in the block.  An observation ``(a, block(v))`` is
     encoded as the integer ``block(v) * len(actions) + a``."""
-    need_div = variant is EquivVariant.EXPLICIT_DIVERGENCE
-    need_comp = variant is EquivVariant.DIVERGENCE_SENSITIVE
     succ, deadlock = index.succ, index.deadlock
     width = len(index.actions)
     own = block[members[0]]
@@ -168,8 +173,8 @@ def _block_signatures(members, block, index, variant):
     def inert(u):
         return [v for (a, v) in succ[u] if not a and block[v] == own]
 
-    summary = {}   # state -> (observations, divergent, completable) of its SCC
-    sigs = {}
+    records = {}   # state -> the record of its SCC
+    shared = {}    # each distinct observation set and record -> itself
     for scc in strongly_connected_components(members, inert):
         obs = set()
         largest = frozenset()   # the largest observation set taken over
@@ -182,7 +187,7 @@ def _block_signatures(members, block, index, variant):
                 if a or b != own:
                     obs.add(b * width + a)
                     continue
-                below = summary.get(v)
+                below = records.get(v)
                 if below is None:   # v is in this SCC: an inert cycle
                     div = True
                 else:
@@ -194,12 +199,23 @@ def _block_signatures(members, block, index, variant):
         comp = comp or div
         # ``largest`` is a subset of ``obs``; reuse it when they are equal
         obs = largest if len(obs) == len(largest) else frozenset(obs)
-        sig = (obs, div if need_div else None, comp if need_comp else None)
+        obs = shared.setdefault(obs, obs)
         rec = (obs, div, comp)
+        rec = shared.setdefault(rec, rec)
         for u in scc:
-            summary[u] = rec
-            sigs[u] = sig
-    return sigs
+            records[u] = rec
+    return records
+
+
+def _masked(variant):
+    """The function from a record ``(observations, divergent,
+    completable)`` to the signature ``variant`` compares: the bit it has
+    no use for is None."""
+    if variant is EquivVariant.EXPLICIT_DIVERGENCE:
+        return lambda rec: (rec[0], rec[1], None)
+    if variant is EquivVariant.DIVERGENCE_SENSITIVE:
+        return lambda rec: (rec[0], None, rec[2])
+    return lambda rec: (rec[0], None, None)
 
 
 def _state_signature(g, block, u, variant):
@@ -209,7 +225,7 @@ def _state_signature(g, block, u, variant):
     The block kernel's Tarjan pass, started from ``u`` alone, covers
     exactly the states ``u`` reaches by inert steps: all it depends on."""
     index = g.index
-    obs, div, comp = _block_signatures([u], block, index, variant)[u]
+    obs, div, comp = _masked(variant)(_block_signatures([u], block, index)[u])
     width = len(index.actions)
     return frozenset((c % width, c // width) for c in obs), div, comp
 
@@ -251,6 +267,7 @@ def _rounds(g, variant: EquivVariant):
     partition the previous one left.
     """
     index = g.index
+    signature = _masked(variant)
     block = _initial_blocks(g)
     members = [[] for _ in set(block)]
     for u, b in enumerate(block):
@@ -263,10 +280,10 @@ def _rounds(g, variant: EquivVariant):
             group = members[b]
             if len(group) < 2:   # a singleton never splits
                 continue
-            sigs = _block_signatures(group, block, index, variant)
+            records = _block_signatures(group, block, index)
             buckets = {}
             for u in group:
-                buckets.setdefault(sigs[u], []).append(u)
+                buckets.setdefault(signature(records[u]), []).append(u)
             if len(buckets) > 1:
                 # the largest piece keeps the block id, the others move
                 splits.append((b, sorted(buckets.values(), key=len,
@@ -303,17 +320,22 @@ def refinement_history(g, variant: EquivVariant):
     """
     actions = g.index.actions
     width = len(actions)
+    signature = _masked(variant)
+
+    def readable(rec):
+        obs, div, comp = signature(rec)
+        return Signature(frozenset((actions[c % width], c // width)
+                                   for c in obs), div, comp)
+
     history = []
     prev = None
     for block in _rounds(g, variant):
         part = _partition(g.states, block)
         sigs = None
         if prev is not None:
-            sigs = {g.states[u]: Signature(
-                        frozenset((actions[c % width], c // width) for c in obs),
-                        div, comp)
-                    for kernel in _block_kernels(g, prev, variant)
-                    for u, (obs, div, comp) in kernel.items()}
+            sigs = {g.states[u]: readable(rec)
+                    for records in _block_kernels(g, prev)
+                    for u, rec in records.items()}
         history.append((part, sigs))
         prev = part
     return history
@@ -339,16 +361,16 @@ def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partitio
     return _coarsest(k, variant)
 
 
-def _block_kernels(g, p: Partition, variant: EquivVariant):
-    """Each block's signatures over ``p``, one whole kernel pass per
-    block, as every signature is read; ``p`` must cover the states."""
+def _block_kernels(g, p: Partition):
+    """Each block's records over ``p``, one whole kernel pass per block,
+    as every record is read; ``p`` must cover the states."""
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
     index = g.index
     block = [p.block_of[s] for s in g.states]
     return (_block_signatures([index.number[s] for s in members], block,
-                              index, variant) for members in p.blocks)
+                              index) for members in p.blocks)
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
@@ -356,12 +378,14 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     conditions: equal observation sets (length-three coloured traces),
     plus a uniform divergence or completion bit where the variant asks
     for one; on a Kripke structure blocks must also be label-uniform."""
-    kernels = _block_kernels(g, p, variant)
+    kernels = _block_kernels(g, p)
     labels = _labels(g)
     if labels is not None and any(len({labels[s] for s in block}) > 1
                                   for block in p.blocks):
         return False
-    return all(len(set(sigs.values())) == 1 for sigs in kernels)
+    signature = _masked(variant)
+    return all(len(set(map(signature, records.values()))) == 1
+               for records in kernels)
 
 
 def _set_partitions(items):
@@ -421,8 +445,8 @@ def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
     return {g.states[u]
-            for sigs in _block_kernels(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
-            for u, (_, div, _) in sigs.items() if div}
+            for records in _block_kernels(g, p)
+            for u, (_, div, _) in records.items() if div}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

@@ -394,8 +394,8 @@ def enumerate_formulas(props, depth: int, budget: int,
     level adds every until/always combination over the previous level
     (and their negations), deduplicated, truncated to ``budget`` (>= 0).
     """
-    if depth > 4:
-        raise ValueError("enumeration depth is capped at 4")
+    if not 0 <= depth <= 4:
+        raise ValueError("enumeration depth must be between 0 and 4")
     if budget < 0:
         raise ValueError("budget must not be negative")
     atoms = [TRUE] + [Prop(p) for p in sorted(props)]
@@ -410,7 +410,7 @@ def enumerate_formulas(props, depth: int, budget: int,
     def formulas():
         seen = {}   # each formula yielded so far, in order: the levels
         batch = atoms + [Not(f) for f in atoms]
-        for _ in range(max(depth, 0) + 1):
+        for _ in range(depth + 1):
             for f in batch:
                 if f not in seen:
                     seen[f] = None

@@ -3,6 +3,12 @@
 All values are immutable after construction and safe to share between
 threads.  State ids are strings; declaration order is preserved and used
 for every deterministic ordering in the toolkit.
+
+Model text is read and written a line at a time: ``_parse`` consumes
+the lines of a text or any iterable of lines, such as a file being
+read, and ``_render`` yields the lines of a structure's text form, so
+the command line never holds a model's whole text.  ``parse_*`` and
+``render_*`` are the library's string forms of the two.
 """
 
 from __future__ import annotations
@@ -98,8 +104,8 @@ class StateIndex(Value):
     transition order, ``preds[v]`` the sources of the steps into ``v``,
     ``deadlock[u]`` is True iff ``u`` has no successor, and ``actions``
     lists the actions by id.  Id 0 is silent: "tau", or None on a Kripke
-    structure, whose every step is silent.  Every engine reads this one
-    index, and only reads it."""
+    structure, whose every step is silent.  Equal pairs are one object.
+    Every engine reads this one index, and only reads it."""
 
     __match_args__ = ("number", "succ", "preds", "actions", "deadlock")
 
@@ -110,15 +116,18 @@ class StateIndex(Value):
         preds = [[] for _ in states]
         if kripke:
             action_id = {None: 0}
+            step = [(0, v) for v in number.values()]
             for (u, v) in transitions:
                 u, v = number[u], number[v]
-                succ[u].append((0, v))
+                succ[u].append(step[v])
                 preds[v].append(u)
         else:
             action_id = {TAU: 0}
+            pairs = {}
             for (u, a, v) in transitions:
                 u, v = number[u], number[v]
-                succ[u].append((action_id.setdefault(a, len(action_id)), v))
+                pair = (action_id.setdefault(a, len(action_id)), v)
+                succ[u].append(pairs.setdefault(pair, pair))
                 preds[v].append(u)
         return StateIndex(number, succ, preds, list(action_id),
                           [not out for out in succ])
@@ -296,24 +305,35 @@ def _check_new_ids(tokens, known, line):
             known[token] = _check_id(token, line)
 
 
-def _parse(text, edge_syntax, labelled, allow_delta=False):
-    """Shared reader of the three formats, one pass over the text.
+# kind -> (edge directive with its operands, labelled state lines)
+_FORMATS = {"ks": ("edge <src> <dst>", True),
+            "lts": ("trans <src> <action> <dst>", False),
+            "l2ts": ("trans <src> <action> <dst>", True)}
 
-    ``edge_syntax`` is the edge directive with its operands, e.g.
-    ``edge <src> <dst>``; ``labelled`` selects ``state <id> { ... }``
-    over ``state <id>``.  Returns (states, labelling, edges, saw_delta).
-    Each distinct id is checked against the id charset once: an edge
-    whose tokens are declared states or known actions needs no check.
-    Ids are interned as they are read, so every edge holds the declared
-    state's string object and one object per action, not fresh copies.
+
+def _parse(text, kind, allow_delta=False):
+    """Shared reader of the three formats, one pass over the lines.
+
+    ``text`` is the whole model text, split here by ``str.splitlines``,
+    or an iterable of its lines as that split gives them, with or without
+    their line breaks, so a file can be read as it is parsed.  Line
+    numbers count the lines.  ``kind`` names the format; its edge syntax
+    is e.g. ``edge <src> <dst>``, and a labelled format reads
+    ``state <id> { ... }`` where the others read ``state <id>``.  Each
+    distinct id is checked against the id charset once: an edge whose
+    tokens are declared states or known actions needs no check.  Ids are
+    interned as they are read, so every edge holds the declared state's
+    string object and one object per action, not fresh copies.
     """
+    edge_syntax, labelled = _FORMATS[kind]
     directive, width = edge_syntax.split()[0], len(edge_syntax.split())
     states, labelling, edges = [], {}, []
     known = {}      # every well-formed id seen -> its first string object
     declared = {}   # every declared state id -> the object in ``states``
     action, state = known.get, declared.get
     saw_delta = False
-    for i, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for i, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         if "{" in raw or "}" in raw:
@@ -361,32 +381,32 @@ def _parse(text, edge_syntax, labelled, allow_delta=False):
             labelling[sid] = props
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", i)
-    return tuple(states), labelling, tuple(edges), saw_delta
+    states, edges = tuple(states), tuple(edges)
+    if kind == "lts":
+        return Lts(states, (TAU,), edges)
+    graph = KripkeStructure if kind == "ks" else DoublyLabelledTS
+    return graph(states, labelling, edges, delta_extended=saw_delta)
 
 
-def parse_ks(text: str, allow_delta: bool = False) -> KripkeStructure:
+def parse_ks(text, allow_delta: bool = False) -> KripkeStructure:
     """Parse the line-oriented Kripke-structure format.
 
     Directives: ``state <id> { <prop> ... }`` and ``edge <src> <dst>``.
     '#' starts a comment.  The proposition "delta" is rejected unless
     ``allow_delta`` is set (for re-reading deadlock-extension output).
+    ``text`` is the model text or an iterable of its lines.
     """
-    states, labelling, edges, saw_delta = _parse(
-        text, "edge <src> <dst>", True, allow_delta)
-    return KripkeStructure(states, labelling, edges, delta_extended=saw_delta)
+    return _parse(text, "ks", allow_delta)
 
 
-def parse_lts(text: str) -> Lts:
+def parse_lts(text) -> Lts:
     """Parse the LTS format: ``state <id>`` and ``trans <src> <action> <dst>``."""
-    states, _, trans, _ = _parse(text, "trans <src> <action> <dst>", False)
-    return Lts(states, (TAU,), trans)
+    return _parse(text, "lts")
 
 
-def parse_l2ts(text: str, allow_delta: bool = False) -> DoublyLabelledTS:
+def parse_l2ts(text, allow_delta: bool = False) -> DoublyLabelledTS:
     """Parse the doubly labelled format: labelled states plus ``trans`` lines."""
-    states, labelling, trans, saw_delta = _parse(
-        text, "trans <src> <action> <dst>", True, allow_delta)
-    return DoublyLabelledTS(states, labelling, trans, delta_extended=saw_delta)
+    return _parse(text, "l2ts", allow_delta)
 
 
 def _sanitize_ids(states):
@@ -406,34 +426,37 @@ def _sanitize_ids(states):
 
 
 def _render(g):
-    """Text form: labelled or plain state lines, then an ``edge`` line per
-    Kripke transition or a ``trans`` line per action transition."""
+    """Yield the text form line by line, each line with its line break:
+    labelled or plain state lines, then an ``edge`` line per Kripke
+    transition or a ``trans`` line per action transition.  A structure
+    without states is one empty line.  The CLI writes the lines as they
+    come; ``render_*`` join them."""
     ids = _sanitize_ids(g.states)
     labelling = getattr(g, "labelling", None)
-    out = []
+    if not g.states:
+        yield "\n"
     for s in g.states:
         if labelling is None:
-            out.append(f"state {ids[s]}")
+            yield f"state {ids[s]}\n"
             continue
         props = " ".join(sorted(labelling[s]))
-        out.append(f"state {ids[s]} {{ {props} }}" if props
-                   else f"state {ids[s]} {{}}")
-    out += [f"edge {ids[t[0]]} {ids[t[1]]}" if len(t) == 2
-            else f"trans {ids[t[0]]} {t[1]} {ids[t[2]]}"
-            for t in g.transitions]
-    return "\n".join(out) + "\n"
+        yield (f"state {ids[s]} {{ {props} }}\n" if props
+               else f"state {ids[s]} {{}}\n")
+    for t in g.transitions:
+        yield (f"edge {ids[t[0]]} {ids[t[1]]}\n" if len(t) == 2
+               else f"trans {ids[t[0]]} {t[1]} {ids[t[2]]}\n")
 
 
 def render_ks(k: KripkeStructure) -> str:
-    return _render(k)
+    return "".join(_render(k))
 
 
 def render_lts(l: Lts) -> str:
-    return _render(l)
+    return "".join(_render(l))
 
 
 def render_l2ts(d: DoublyLabelledTS) -> str:
-    return _render(d)
+    return "".join(_render(d))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtk import figures, logic
-from dtk.cli import main
+from dtk.cli import _file_lines, _load_model, main
 from dtk.structures import (
     parse_ks,
     parse_l2ts,
@@ -326,18 +329,100 @@ def test_unwritable_output_exits_2(capsys, stutter_ks, merge_lts, tmp_path,
 
 @pytest.mark.parametrize("flag, command", [
     ("--json", "transform"), ("--json", "compose"),
-    ("--allow-delta", "compose")])
+    ("--allow-delta", "compose"), ("--allow-delta", "dext"),
+    ("--allow-delta", "eta")])
 def test_a_flag_a_command_ignores_is_a_usage_error(capsys, stutter_ks,
                                                    merge_lts, flag, command):
-    # transform and compose write model text, never an envelope, and
-    # compose reads only LTSs
+    # transform and compose write model text, never an envelope, compose
+    # reads only LTSs, and of transform's ops eta reads an LTS and dext
+    # does not extend its own output
+    message = f"unrecognized arguments: {flag}"
     if command == "transform":
         argv = ("transform", "--op", "dext", "--model", stutter_ks)
-    else:
+    elif command == "compose":
         argv = ("compose", "--left", f"{merge_lts}:0",
                 "--right", f"{merge_lts}:a")
+    else:
+        model = stutter_ks if command == "dext" else merge_lts
+        argv = ("transform", "--op", command, "--model", model)
+        message = f"argument {flag}: not allowed with --op {command}"
     with pytest.raises(SystemExit) as exit_:
         main([*argv, flag])
     captured = capsys.readouterr()
     assert exit_.value.code == 2 and captured.out == ""
-    assert f"unrecognized arguments: {flag}" in captured.err
+    assert message in captured.err
+
+
+# --- model files are parsed as they are read ------------------------------
+
+# every line break str.splitlines knows
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", " ", "#", *BREAKS]), max_size=40),
+       st.integers(1, 8))
+def test_file_lines_split_as_splitlines(pieces, size):
+    # small chunks: a "\r\n" or a line may straddle any chunk boundary
+    text = "".join(pieces)
+    lines = list(_file_lines(io.StringIO(text, newline=""), size))
+    assert lines == text.splitlines(keepends=True)
+
+
+def _read_outcome(capsys, path, kind):
+    """The structure the CLI reads from ``path``, or its error line."""
+    code, out, err = run(capsys, "check-equiv", "--model", str(path),
+                         "--kind", "lts" if kind == "lts" else "ks",
+                         "--variant", "db", "--allow-delta")
+    if code == 2:
+        return out, err
+    return _load_model(str(path), kind, allow_delta=True)
+
+
+def _text_outcome(path, kind, text):
+    try:
+        if kind == "lts":
+            return parse_lts(text)
+        return parse_ks(text, allow_delta=True)
+    except ValueError as err:
+        return "", f"error: {path}: {err}\n"
+
+
+LONG = " ".join(f"p{i}" for i in range(20000))   # longer than a read chunk
+MODELS = [
+    ("lts", ["state a", "# comment", "", "state b", "trans a go b",
+             "trans b tau a"]),
+    ("lts", ["state a", "state b", "trans a go b", "trans a go c"]),
+    ("ks", ["state a { p q }", "state b { }", "edge a b", "edge b b"]),
+    ("ks", ["state a { p }", "state b { delta }", "state a { q }"]),
+    ("ks", [f"state a {{ {LONG} }}", "state b { q }", "edge a b"]),
+    ("ks", ["state a { p }", f"state b {{ {LONG} - }}"]),
+]
+
+
+@pytest.mark.parametrize("kind, lines", MODELS)
+@pytest.mark.parametrize("brk", BREAKS)
+@pytest.mark.parametrize("final", [True, False])
+def test_cli_reads_a_model_as_the_parser_reads_its_text(capsys, tmp_path,
+                                                        kind, lines, brk,
+                                                        final):
+    text = brk.join(lines) + (brk if final else "")
+    path = tmp_path / f"model.{kind}"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_read_outcome(capsys, path, kind)
+            == _text_outcome(path, kind, text))
+
+
+@pytest.mark.parametrize("states", [1, 20000])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, states):
+    # the error names the byte's offset in the file, also past a chunk
+    data = b"".join(b"state s%d\n" % i for i in range(states))
+    data += b"state \xff\n"
+    path = tmp_path / "bad.lts"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "check-equiv", "--model", str(path),
+                         "--kind", "lts", "--variant", "db")
+    with pytest.raises(UnicodeDecodeError) as decode:
+        data.decode("utf-8")
+    assert (code, out, err) == (2, "", f"error: {decode.value}\n")

@@ -6,6 +6,7 @@ import pytest
 from dtk import figures
 from dtk.equivalences import (
     EquivVariant,
+    _block_signatures,
     Partition,
     check_colouring,
     coarsest_partition_ks,
@@ -272,3 +273,28 @@ def test_meet_and_join_are_lattice_bounds():
     j = join(p, q, l.states)
     assert _refines(m, p) and _refines(m, q)
     assert _refines(p, j) and _refines(q, j)
+
+
+# --- equal signatures are shared ---------------------------------------------
+
+def test_block_signatures_share_equal_sets_and_records():
+    # 60 states in one block, each with a visible step out of it: two
+    # observation sets, and a silent self-loop on every third state
+    # gives the set with and without divergence
+    n = 60
+    states = tuple(f"s{i}" for i in range(n)) + ("out",)
+    trans = [(f"s{i}", "ab"[i % 2], "out") for i in range(n)]
+    trans += [(f"s{i}", TAU, f"s{i}") for i in range(0, n, 3)]
+    index = Lts(states, (TAU,), tuple(trans)).index
+    block = [0] * n + [1]
+    records = _block_signatures(list(range(n)), block, index)
+    assert len(records) == n
+    recs = list(records.values())
+    sets = [obs for (obs, _, _) in recs]
+    assert len(set(recs)) == 4 and len(set(map(id, recs))) == 4
+    assert len(set(sets)) == 2 and len(set(map(id, sets))) == 2
+    # each record as the round reads it
+    for u in range(n):
+        (obs, div, comp) = records[u]
+        assert obs == {(1 if u % 2 == 0 else 2) + len(index.actions)}
+        assert div == comp == (u % 3 == 0)

@@ -268,6 +268,12 @@ def test_enumeration_rejects_a_negative_budget():
         enumerate_formulas(("p",), 1, -1)
 
 
+@pytest.mark.parametrize("depth", [-1, 5])
+def test_enumeration_rejects_a_depth_out_of_range(depth):
+    with pytest.raises(ValueError, match="depth"):
+        enumerate_formulas(("p",), depth, 100)
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_formulas({"p", "q"}, 2, 300)
     b = enumerate_formulas({"p", "q"}, 2, 300)

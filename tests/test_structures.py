@@ -312,6 +312,16 @@ def test_transitions_hold_the_declared_state_objects(parse, text):
             assert actions.setdefault(t[1], t[1]) is t[1]
 
 
+def test_index_shares_equal_successor_pairs():
+    l = parse_lts("state a\nstate b\nstate c\n"
+                  "trans a go c\ntrans b go c\ntrans b tau c\n")
+    succ = l.index.succ
+    assert succ[0] == [(1, 2)] and succ[1] == [(1, 2), (0, 2)]
+    assert succ[0][0] is succ[1][0]
+    k = parse_ks("state a { p }\nstate b { p }\nedge a b\nedge b b\n")
+    assert k.index.succ[0][0] is k.index.succ[1][0]
+
+
 def test_check_state_scans_the_states():
     l = parse_lts(BRANCHING_LTS_TEXT)
     l.check_state("z")
