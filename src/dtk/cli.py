@@ -11,7 +11,6 @@ rendered, so no command holds a model's whole text.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import chain
 
@@ -20,13 +19,12 @@ from .structures import (
     FormatError,
     StructureError,
     _render,
+    _sanitize_ids,
     check_consistency,
     parse_ks,
     parse_l2ts,
     parse_lts,
 )
-
-DEFAULT_TRACE_BOUND = 12
 
 # the values of equivalences.EquivVariant and logic.Semantics, which are
 # looked up when a command runs: importing the CLI loads no engine
@@ -195,7 +193,9 @@ def cmd_compose(args) -> int:
         except ValueError as err:
             raise _Failure(f"{err} in {origin}") from err
     product, root = compose.merge(l1, left_state, l2, right_state)
-    header = f"# root: {root}\n"
+    # the root is the product's first state, which no clash renames: the
+    # file names it by the charset mapping alone
+    header = f"# root: {_sanitize_ids([root])[root]}\n"
     _write_output(args.output, chain((header,), _render(product)))
     return 0
 
@@ -240,12 +240,9 @@ def cmd_traces(args) -> int:
     kind = args.kind
     model = _load_model(args.model, kind, allow_delta=args.allow_delta)
     model.check_state(args.state)
-    bound = args.bound
-    if bound is None:
-        bound = int(os.environ.get("DTK_TRACE_BOUND", DEFAULT_TRACE_BOUND))
     colouring = "trivial" if kind == "lts" else "labelling"
     traces, exhausted = linear.complete_traces(
-        model, args.state, colouring, bound)
+        model, args.state, colouring, args.bound)
     lines = sorted(_render_trace(t, kind == "lts") for t in traces)
     result = {"traces": lines, "exhausted": exhausted}
     _emit(args, "traces", result, lines)
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=("lts", "ks"), required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=12)
     common(p)
     p.set_defaults(func=cmd_traces)
 

@@ -46,9 +46,10 @@ never splits and is never computed.  The result is canonicalised once,
 at the end.
 
 ``logic.distinguish`` reads the rounds as they are, one tuple of block
-ids per round, and asks ``_state_signature`` for the few signatures a
-split needs: the same Tarjan pass, started from that one state.
-Observations leave this module as ``(action id, block id)`` pairs.
+ids per round.  For a split it makes one ``_block_signatures`` call
+from the two states the split separates, over the round before: the
+pass covers exactly the states they reach by inert steps, all that
+their records depend on.
 ``refinement_history`` canonicalises every round and computes every
 signature, for tests and tools that read a whole round.
 """
@@ -151,12 +152,6 @@ class Signature(Value):
 
     __match_args__ = ("observations", "divergent", "completable")
 
-    def __init__(self, observations, divergent, completable):
-        d = self.__dict__
-        d["observations"] = observations
-        d["divergent"] = divergent
-        d["completable"] = completable
-
 
 def _block_signatures(members, block, index):
     """The records of one block's members and of every state they reach
@@ -216,18 +211,6 @@ def _masked(variant):
     if variant is EquivVariant.DIVERGENCE_SENSITIVE:
         return lambda rec: (rec[0], None, rec[2])
     return lambda rec: (rec[0], None, None)
-
-
-def _state_signature(g, block, u, variant):
-    """The signature of state id ``u`` over per-state block ids ``block``:
-    its observations as ``(action id, block id)`` pairs, and its
-    divergence and completion bits (None where the variant has none).
-    The block kernel's Tarjan pass, started from ``u`` alone, covers
-    exactly the states ``u`` reaches by inert steps: all it depends on."""
-    index = g.index
-    obs, div, comp = _masked(variant)(_block_signatures([u], block, index)[u])
-    width = len(index.actions)
-    return frozenset((c % width, c // width) for c in obs), div, comp
 
 
 def _initial_blocks(g):
@@ -389,32 +372,14 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
 
 
 def _set_partitions(items):
-    """All partitions of ``items``, via restricted growth strings."""
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-
-    def emit():
-        blocks = {}
-        for idx, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(items[idx])
-        return list(blocks.values())
-
-    while True:
-        yield emit()
-        i = n - 1
-        while i > 0:
-            limit = max(rgs[:i]) + 1
-            if rgs[i] < limit:
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-            i -= 1
-        else:
-            return
+    """All partitions of ``items``: each item joins each block of every
+    partition of the items before it, or starts a block of its own."""
+    partitions = [[]]
+    for x in items:
+        partitions = [p[:i] + [p[i] + [x]] + p[i + 1:] if i < len(p)
+                      else p + [[x]]
+                      for p in partitions for i in range(len(p) + 1)]
+    return partitions
 
 
 ORACLE_STATE_BOUND = 8
@@ -432,7 +397,7 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
         raise ValueError(
             f"oracle limited to {ORACLE_STATE_BOUND} states, got {len(states)}")
     result = None
-    for blocks in _set_partitions(list(states)):
+    for blocks in _set_partitions(states):
         cand = Partition.from_blocks(blocks, states)
         if check_colouring(g, cand, variant):
             result = cand if result is None else join(result, cand, states)

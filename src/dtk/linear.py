@@ -290,15 +290,9 @@ def trace_equiv(g, s, t, variant: TraceVariant, bound: int = 12) -> TraceVerdict
 class PProp(Value):
     __match_args__ = ("name",)
 
-    def __init__(self, name):
-        self.__dict__["name"] = name
-
 
 class PNot(Value):
     __match_args__ = ("sub",)
-
-    def __init__(self, sub):
-        self.__dict__["sub"] = sub
 
 
 class PAnd(Value):
@@ -310,11 +304,6 @@ class PAnd(Value):
 
 class PUntil(Value):
     __match_args__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        d = self.__dict__
-        d["lhs"] = lhs
-        d["rhs"] = rhs
 
 
 class PInfinity(Value):

@@ -40,15 +40,9 @@ class FormulaError(ValueError):
 class Prop(Value):
     __match_args__ = ("name",)
 
-    def __init__(self, name):
-        self.__dict__["name"] = name
-
 
 class _Unary(Value):
     __match_args__ = ("sub",)
-
-    def __init__(self, sub):
-        self.__dict__["sub"] = sub
 
 
 class Not(_Unary):
@@ -64,11 +58,6 @@ class And(Value):
 
 class ExistsUntil(Value):
     __match_args__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        d = self.__dict__
-        d["lhs"] = lhs
-        d["rhs"] = rhs
 
 
 class ExistsG(_Unary):
@@ -444,8 +433,11 @@ def distinguish(k: KripkeStructure, s, t,
     k.check_state(s)
     k.check_state(t)
     rounds = list(equivalences._rounds(k, variant))
-    number = k.index.number
-    s, t = number[s], number[t]
+    index = k.index
+    # an observation is the integer ``block id * width + action id``
+    width = len(index.actions)
+    signature = equivalences._masked(variant)
+    s, t = index.number[s], index.number[t]
     if rounds[-1][s] == rounds[-1][t]:
         return None
     # one int object per state id, shared by every round's ``firsts``
@@ -509,11 +501,15 @@ def distinguish(k: KripkeStructure, s, t,
             """The first-declared member of the least observation's
             block; observations order by action id, then by block in
             canonical order."""
-            return min((a, firsts[b]) for (a, b) in observations)[1]
+            return min((c % width, firsts[c // width])
+                       for c in observations)[1]
 
-        (ou, du, cu), (ow, dw, cw) = (
-            equivalences._state_signature(k, rounds[level - 1], x, variant)
-            for x in (u, w))
+        # u and w share a block of the round before, so one pass from
+        # both covers every state either reaches by inert steps
+        records = equivalences._block_signatures(
+            [u, w], rounds[level - 1], index)
+        ou, du, cu = signature(records[u])
+        ow, dw, cw = signature(records[w])
         if ou - ow:
             return ExistsUntil((yield u, level - 1),
                                (yield rep(ou - ow), level - 1))

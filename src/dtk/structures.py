@@ -49,11 +49,10 @@ class Value:
     A subclass names its fields once, in ``__match_args__``; the base
     ``__init__`` stores them, given by position or by name, in the
     instance ``__dict__``.  A subclass whose fields convert, validate or
-    have defaults, or whose constructor is hot, writes its own.  Instances
-    are equal when their types and fields are, hash by type and fields,
-    print as ``Name(field=value, ...)`` and refuse assignment.  The
-    instance ``__dict__`` stays, so ``cached_property`` and
-    ``copy.deepcopy`` work.
+    have defaults writes its own.  Instances are equal when their types
+    and fields are, hash by type and fields, print as
+    ``Name(field=value, ...)`` and refuse assignment.  The instance
+    ``__dict__`` stays, so ``cached_property`` and ``copy.deepcopy`` work.
     """
 
     __match_args__ = ()
@@ -274,7 +273,9 @@ def path_is_valid(g, path: Path) -> bool:
 def path_is_maximal(g, path: Path) -> bool:
     if path.kind == "lasso":
         return True
-    return path.stem[-1] in deadlock_states(g)
+    index = g.index
+    u = index.number.get(path.stem[-1])
+    return u is not None and index.deadlock[u]
 
 
 class ConsistencyReport(Value):

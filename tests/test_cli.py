@@ -196,6 +196,24 @@ def test_compose_output_reparses_and_checks(capsys, merge_lts, tmp_path):
     assert len(product.transitions) == 1
 
 
+def test_compose_root_header_names_a_state_of_the_file(capsys, merge_lts,
+                                                      tmp_path):
+    out_path = tmp_path / "product.lts"
+    code, _, _ = run(capsys, "compose",
+                     "--left", f"{merge_lts}:0",
+                     "--right", f"{merge_lts}:a",
+                     "-o", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    header = text.splitlines()[0]
+    assert header.startswith("# root: ")
+    root = header[len("# root: "):]
+    assert root in parse_lts(text).states
+    code, _, _ = run(capsys, "traces", "--model", str(out_path),
+                     "--kind", "lts", "--state", root)
+    assert code == 0
+
+
 def test_traces_markers(capsys, merge_lts, tmp_path):
     code, out, _ = run(capsys, "traces", "--model", merge_lts,
                        "--kind", "lts", "--state", "Delta0")
@@ -207,12 +225,11 @@ def test_traces_markers(capsys, merge_lts, tmp_path):
     assert out.strip() == "a ."
 
 
-def test_traces_bound_env_override(capsys, tmp_path, monkeypatch):
+def test_traces_bound_override(capsys, tmp_path):
     path = tmp_path / "loop.lts"
     path.write_text("state a\ntrans a x a\n")
-    monkeypatch.setenv("DTK_TRACE_BOUND", "1")
     code, out, _ = run(capsys, "traces", "--model", str(path),
-                       "--kind", "lts", "--state", "a")
+                       "--kind", "lts", "--state", "a", "--bound", "1")
     assert code == 0
     lines = out.strip().splitlines()
     assert any(line.endswith("?") for line in lines)

@@ -7,6 +7,7 @@ from dtk import figures
 from dtk.equivalences import (
     EquivVariant,
     _block_signatures,
+    _set_partitions,
     Partition,
     check_colouring,
     coarsest_partition_ks,
@@ -184,6 +185,18 @@ def test_oracle_rejects_large_inputs():
     l = Lts(states, (TAU,), ())
     with pytest.raises(ValueError):
         oracle_coarsest_partition(l, DB)
+
+
+@pytest.mark.parametrize("n, bell", enumerate(
+    (1, 1, 2, 5, 15, 52, 203, 877, 4140)))
+def test_oracle_enumerates_each_partition_once(n, bell):
+    items = list(range(n))
+    found = {frozenset(map(frozenset, blocks))
+             for blocks in _set_partitions(items)}
+    assert len(list(_set_partitions(items))) == len(found) == bell
+    for blocks in found:
+        assert all(blocks)
+        assert sorted(x for b in blocks for x in b) == items
 
 
 def test_oracle_agreement_random_sample():

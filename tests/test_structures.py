@@ -8,6 +8,7 @@ from dtk.structures import (
     FormatError,
     KripkeStructure,
     Lts,
+    Path,
     StructureError,
     TAU,
     associated_ks,
@@ -18,6 +19,7 @@ from dtk.structures import (
     parse_ks,
     parse_l2ts,
     parse_lts,
+    path_is_maximal,
     render_ks,
     render_l2ts,
     render_lts,
@@ -274,6 +276,15 @@ def test_deadlock_states_agrees_with_out_degree():
         for (u, _) in k.transitions:
             outdeg[u] += 1
         assert deadlock_states(k) == {s for s, d in outdeg.items() if d == 0}
+
+
+def test_path_is_maximal_reads_the_end_state():
+    l = figures.deadlock_merge_example_lts()
+    for s in l.states:
+        assert path_is_maximal(l, Path("finite", (s,))) == (
+            s in deadlock_states(l))
+    assert not path_is_maximal(l, Path("finite", ("nope",)))
+    assert path_is_maximal(l, Path("lasso", ("nope",), ("nope",)))
 
 
 def test_disjoint_union_renames_clashes():
