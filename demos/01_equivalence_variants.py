@@ -23,7 +23,8 @@ VARIANTS = [
 
 
 def show_partition(partition):
-    return "  ".join("{" + " ".join(sorted(b)) + "}" for b in partition.blocks)
+    return "  ".join("{" + " ".join(sorted(b)) + "}"
+                     for b in partition.members())
 
 
 print("== seven-state LTS: one silent loop, one silent sink ==")

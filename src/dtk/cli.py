@@ -11,6 +11,7 @@ rendered, so no command holds a model's whole text.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain
 
@@ -73,14 +74,27 @@ def _load_model(path, kind, allow_delta=False):
         raise
 
 
+def _write_stdout(lines):
+    """Write text to stdout as it comes.  A reader that closes the pipe
+    ends the output, not the command: stdout then points at the null
+    device, so nothing fails later, at exit either."""
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, command, result, plain_lines):
     if args.json:
         import json     # only --json pays for it
-        print(json.dumps({"version": 1, "command": command, "result": result},
-                         sort_keys=True))
+        _write_stdout((json.dumps({"version": 1, "command": command,
+                                   "result": result}, sort_keys=True),
+                       "\n"))
     else:
-        for line in plain_lines:
-            print(line)
+        _write_stdout(line + "\n" for line in plain_lines)
 
 
 def cmd_check_equiv(args) -> int:
@@ -106,7 +120,9 @@ def cmd_check_equiv(args) -> int:
         verdict = "equivalent" if same else "distinguished"
         _emit(args, "check-equiv", {"verdict": verdict}, [verdict])
         return 0 if same else 1
-    blocks = [sorted(b) for b in partition.blocks]
+    blocks = map(sorted, partition.members())
+    if args.json:   # the envelope needs every block; plain text streams
+        blocks = list(blocks)
     _emit(args, "check-equiv", {"blocks": blocks}, map(" ".join, blocks))
     return 0
 
@@ -166,7 +182,7 @@ def cmd_transform(args) -> int:
 def _write_output(path, lines):
     """Write model text line by line, as the renderer yields it."""
     if path in (None, "-"):
-        sys.stdout.writelines(lines)
+        _write_stdout(lines)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:

@@ -138,7 +138,7 @@ def congruence_sample(variant: equivalences.EquivVariant, trials: int,
     for trial in range(trials):
         l = generators.random_lts(rng, max_states=max_states)
         part = equivalences.coarsest_partition_lts(l, variant)
-        pairs = [sorted(b)[:2] for b in part.blocks if len(b) >= 2]
+        pairs = [sorted(b)[:2] for b in part.members() if len(b) >= 2]
         if pairs:
             s, s2 = pairs[rng.randrange(len(pairs))]
         else:

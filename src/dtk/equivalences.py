@@ -43,7 +43,7 @@ round before, so its members' signatures are still equal and a full
 round would not split it either; every round therefore yields the same
 partition as one that recomputes all states.  A block of one state
 never splits and is never computed.  The result is canonicalised once,
-at the end.
+at the end, into one block id per state: no block holds a member set.
 
 ``logic.distinguish`` reads the rounds as they are, one tuple of block
 ids per round.  For a split it makes one ``_block_signatures`` call
@@ -57,6 +57,7 @@ signature, for tests and tools that read a whole round.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 
 from .graphs import strongly_connected_components
 from .structures import KripkeStructure, Lts, Value
@@ -69,13 +70,14 @@ class EquivVariant(Enum):
 
 
 class Partition(Value):
-    """A colouring of states, canonicalised: block ids are dense and
-    assigned by first occurrence in state declaration order."""
+    """A colouring of states, canonicalised: ``block_of`` maps each state,
+    in declaration order, to a block id; ids are dense, by first use."""
 
-    __match_args__ = ("block_of", "blocks")
+    __match_args__ = ("block_of",)
 
     @staticmethod
     def from_blocks(blocks, state_order):
+        state_order = list(state_order)   # read once: it may be an iterator
         index = {}
         for i, b in enumerate(blocks):
             if not b:
@@ -87,33 +89,45 @@ class Partition(Value):
             raise ValueError("blocks do not partition the state set")
         return _partition(state_order, [index[s] for s in state_order])
 
+    def members(self):
+        """Each block's states in declaration order, one list at a time."""
+        block_of = self.block_of
+        order = sorted(block_of, key=block_of.__getitem__)   # stable
+        for _, group in groupby(order, block_of.__getitem__):
+            yield list(group)
+
+    @property
+    def blocks(self):
+        """The blocks as frozensets, in id order."""
+        return tuple(map(frozenset, self.members()))
+
     def same_block(self, s, t) -> bool:
         return self.block_of[s] == self.block_of[t]
 
     def block_sets(self):
-        return set(self.blocks)
+        return set(map(frozenset, self.members()))
 
     def restrict(self, states):
         """The induced partition on a subset of the states."""
         states = list(states)   # read once: it may be an iterator
-        keep = set(states)
-        blocks = [b & keep for b in self.blocks if b & keep]
-        return Partition.from_blocks(blocks, states)
+        if not self.block_of.keys() >= set(states):
+            raise ValueError("blocks do not partition the state set")
+        return _partition(states, map(self.block_of.__getitem__, states))
 
     def __len__(self):
-        return len(self.blocks)
+        return len(set(self.block_of.values()))
 
 
 def meet(p: Partition, q: Partition, state_order) -> Partition:
     """Coarsest partition refining both arguments."""
-    groups = {}
-    for s in state_order:
-        groups.setdefault((p.block_of[s], q.block_of[s]), []).append(s)
-    return Partition.from_blocks(groups.values(), state_order)
+    state_order = list(state_order)
+    return _partition(state_order, [(p.block_of[s], q.block_of[s])
+                                    for s in state_order])
 
 
 def join(p: Partition, q: Partition, state_order) -> Partition:
     """Finest partition coarsened by both arguments (union-find)."""
+    state_order = list(state_order)
     parent = {s: s for s in state_order}
 
     def find(x):
@@ -122,20 +136,11 @@ def join(p: Partition, q: Partition, state_order) -> Partition:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for part in (p, q):
-        for b in part.blocks:
-            members = list(b)
-            for s in members[1:]:
-                union(members[0], s)
-    groups = {}
-    for s in state_order:
-        groups.setdefault(find(s), []).append(s)
-    return Partition.from_blocks(groups.values(), state_order)
+        first = {}   # block id -> the block's first state
+        for s in state_order:
+            parent[find(first.setdefault(part.block_of[s], s))] = find(s)
+    return _partition(state_order, [find(s) for s in state_order])
 
 
 def _labels(g):
@@ -223,20 +228,11 @@ def _initial_blocks(g):
 
 
 def _partition(states, block) -> Partition:
-    """The canonical ``Partition`` of per-state block ids, in one pass:
-    a block's canonical id is the number of blocks met before its first
-    member, and its members arrive in declaration order."""
+    """The canonical ``Partition`` of per-state block ids: a block's
+    canonical id is the number of blocks met before its first member."""
     canonical = {}
-    members = []
-    block_of = {}
-    for s, b in zip(states, block):
-        i = canonical.get(b)
-        if i is None:
-            i = canonical[b] = len(members)
-            members.append([])
-        members[i].append(s)
-        block_of[s] = i
-    return Partition(block_of, tuple(map(frozenset, members)))
+    return Partition({s: canonical.setdefault(b, len(canonical))
+                      for s, b in zip(states, block)})
 
 
 def _rounds(g, variant: EquivVariant):
@@ -353,7 +349,7 @@ def _block_kernels(g, p: Partition):
     index = g.index
     block = [p.block_of[s] for s in g.states]
     return (_block_signatures([index.number[s] for s in members], block,
-                              index) for members in p.blocks)
+                              index) for members in p.members())
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
@@ -363,9 +359,11 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     for one; on a Kripke structure blocks must also be label-uniform."""
     kernels = _block_kernels(g, p)
     labels = _labels(g)
-    if labels is not None and any(len({labels[s] for s in block}) > 1
-                                  for block in p.blocks):
-        return False
+    if labels is not None:
+        label_of = {}   # block id -> the label of its first state
+        if any(label_of.setdefault(b, labels[s]) != labels[s]
+               for s, b in p.block_of.items()):
+            return False
     signature = _masked(variant)
     return all(len(set(map(signature, records.values()))) == 1
                for records in kernels)

@@ -262,24 +262,69 @@ def parse_formula(text: str):
 
 
 def _render(f, kids):
+    """A node's text as a rope: a string, or a tuple of strings and the
+    ropes of its children, so no value copies a child's text."""
     match f:
         case Prop(name):
             return name
         case And():
-            return "(" + " & ".join(kids) + ")" if kids else "true"
+            pieces = [p for kid in kids for p in (" & ", kid)]
+            return ("(", *pieces[1:], ")") if kids else "true"
         case Not():
-            return "~" + kids[0]
+            return ("~", kids[0])
         case ExistsUntil():
-            return f"E ({kids[0]} U {kids[1]})"
+            return ("E (", kids[0], " U ", kids[1], ")")
     # EG or EGinf; an until or globally body is parenthesised
-    text = kids[0] if isinstance(f.sub, (Prop, And, Not)) else f"({kids[0]})"
-    return ("EG " if type(f) is ExistsG else "EGinf ") + text
+    body = (kids[0] if isinstance(f.sub, (Prop, And, Not))
+            else ("(", kids[0], ")"))
+    return ("EG " if type(f) is ExistsG else "EGinf ", body)
+
+
+def _flatten(rope) -> str:
+    """The text of a rope.  A rope met more than once is joined once and
+    its text reused, as the shared subformula it renders; any other is
+    expanded into its parent's pieces, so no text is copied into every
+    ancestor's.  One walk lists the ropes, each after the ropes inside
+    it, and counts each rope's uses."""
+    if type(rope) is str:
+        return rope
+    uses = {}   # id of a rope -> how often the distinct ropes hold it
+    order, seen, stack = [], set(), [(rope, False)]
+    while stack:
+        r, done = stack.pop()
+        if done:
+            order.append(r)
+        elif id(r) not in seen:
+            seen.add(id(r))
+            stack.append((r, True))
+            for part in r:
+                if type(part) is not str:
+                    uses[id(part)] = uses.get(id(part), 0) + 1
+                    stack.append((part, False))
+    texts = {}   # id of a shared rope -> its text
+
+    def join(r):
+        pieces, todo = [], list(reversed(r))
+        while todo:
+            part = todo.pop()
+            if type(part) is str:
+                pieces.append(part)
+            elif id(part) in texts:
+                pieces.append(texts[id(part)])
+            else:
+                todo.extend(reversed(part))
+        return "".join(pieces)
+
+    for r in order:
+        if uses.get(id(r), 0) > 1:
+            texts[id(r)] = join(r)
+    return join(rope)
 
 
 def render_formula(phi) -> str:
     """Deterministic text form; re-parses to the same tree for sugar-free
     formulas.  A shared subformula is rendered once and its text reused."""
-    return _fold(phi, _render)
+    return _flatten(_fold(phi, _render))
 
 
 def formula_propositions(phi) -> set:

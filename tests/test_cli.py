@@ -1,12 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtk
 from dtk import figures, logic
 from dtk.cli import _file_lines, _load_model, main
+from dtk.equivalences import EquivVariant, coarsest_partition_lts
+from dtk.generators import random_lts
 from dtk.structures import (
     parse_ks,
     parse_l2ts,
@@ -104,6 +111,27 @@ def test_check_equiv_json_envelope(capsys, branching_lts):
     assert data["version"] == 1
     assert data["command"] == "check-equiv"
     assert sorted(map(sorted, data["result"]["blocks"]))
+
+
+def test_check_equiv_prints_sorted_members_in_canonical_block_order(
+        capsys, tmp_path):
+    import random
+
+    l = random_lts(random.Random(17), max_states=60, edge_bias=0.04,
+                   actions=("a", "b", "c", "d"))
+    path = tmp_path / "many.lts"
+    path.write_text(render_lts(l))
+    part = coarsest_partition_lts(l, EquivVariant.EXPLICIT_DIVERGENCE)
+    # canonical order: by each block's first state in declaration order
+    blocks = sorted(part.block_sets(), key=lambda b: min(map(l.states.index, b)))
+    expected = [sorted(b) for b in blocks]
+    assert len(expected) >= 20 and any(len(b) > 1 for b in expected)
+    code, out, _ = run(capsys, "check-equiv", "--model", str(path),
+                       "--kind", "lts", "--variant", "ed")
+    assert code == 0 and out.splitlines() == list(map(" ".join, expected))
+    code, out, _ = run(capsys, "check-equiv", "--model", str(path),
+                       "--kind", "lts", "--variant", "ed", "--json")
+    assert code == 0 and json.loads(out)["result"]["blocks"] == expected
 
 
 def test_model_check_state_and_set(capsys, stutter_ks):
@@ -443,3 +471,28 @@ def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, states):
     with pytest.raises(UnicodeDecodeError) as decode:
         data.decode("utf-8")
     assert (code, out, err) == (2, "", f"error: {decode.value}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-equiv", "--kind", "lts", "--variant", "ed"],
+    ["check-equiv", "--kind", "lts", "--variant", "ed", "--json"],
+    ["traces", "--kind", "lts", "--state", "s0", "--bound", "2"],
+    ["transform", "--op", "eta"],
+])
+def test_a_reader_closing_the_pipe_ends_the_output_not_the_command(tmp_path,
+                                                                   argv):
+    # 20 000 states that each loop on an action of their own: every
+    # output below is larger than a pipe holds
+    n = 20000
+    path = tmp_path / "wide.lts"
+    path.write_text("".join(f"state s{i}\n" for i in range(n))
+                    + "".join(f"trans s0 a{i} s{i}\n" for i in range(n))
+                    + "".join(f"trans s{i} a{i} s{i}\n" for i in range(1, n)))
+    src = str(Path(dtk.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+            [sys.executable, "-m", "dtk.cli", *argv, "--model", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src)) as proc:
+        proc.stdout.close()     # the reader goes away before reading a byte
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtk import figures
 from dtk.equivalences import (
@@ -311,3 +313,92 @@ def test_block_signatures_share_equal_sets_and_records():
         (obs, div, comp) = records[u]
         assert obs == {(1 if u % 2 == 0 else 2) + len(index.actions)}
         assert div == comp == (u % 3 == 0)
+
+
+# --- the id-based Partition against a frozenset reference ------------------
+
+def _ref_valid(blocks, order):
+    """Non-empty, pairwise disjoint blocks that cover exactly ``order``."""
+    sets = [frozenset(b) for b in blocks]
+    union = frozenset().union(*sets)
+    return (all(sets) and sum(map(len, sets)) == len(union)
+            and union == set(order))
+
+
+def _ref_canonical(blocks, order):
+    """The blocks as frozensets, ordered by their first state in ``order``."""
+    pos = {s: i for i, s in enumerate(order)}
+    return [b for b in sorted(map(frozenset, blocks),
+                              key=lambda b: min(map(pos.__getitem__, b)))]
+
+
+def _ref_join(p_blocks, q_blocks):
+    merged = []
+    for b in map(frozenset, p_blocks + q_blocks):
+        touching = [m for m in merged if m & b]
+        merged = [m for m in merged if not m & b] + [b.union(*touching)]
+    return merged
+
+
+def _assert_matches(part, blocks, order):
+    canon = _ref_canonical(blocks, order)
+    assert part.blocks == tuple(canon)
+    assert part.block_sets() == set(canon)
+    assert len(part) == len(canon)
+    assert list(part.block_of) == list(order)
+    assert part.block_of == {s: i for i, b in enumerate(canon) for s in b}
+    assert list(part.members()) == [[s for s in order if s in b]
+                                    for b in canon]
+    for s, t in itertools.product(order, repeat=2):
+        assert part.same_block(s, t) == any(s in b and t in b for b in canon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partition_matches_a_frozenset_reference(data):
+    n = data.draw(st.integers(0, 7))
+    order = data.draw(st.permutations([f"s{i}" for i in range(n)]))
+
+    def colouring():
+        colour = data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                    max_size=n))
+        groups = {}
+        # blocks listed by colour, members by name: not the canonical order
+        for c, s in sorted(zip(colour, order)):
+            groups.setdefault(c, []).append(s)
+        return list(groups.values())
+
+    p_blocks, q_blocks = colouring(), colouring()
+    # every state order may be an iterator, read once
+    p = Partition.from_blocks(p_blocks, iter(order))
+    q = Partition.from_blocks(q_blocks, order)
+    _assert_matches(p, p_blocks, order)
+    _assert_matches(meet(p, q, iter(order)),
+                    [b & c for b in map(frozenset, p_blocks)
+                     for c in map(frozenset, q_blocks) if b & c], order)
+    _assert_matches(join(p, q, iter(order)), _ref_join(p_blocks, q_blocks),
+                    order)
+
+    sub = data.draw(st.permutations(order))[:data.draw(st.integers(0, n))]
+    _assert_matches(p.restrict(iter(sub)),
+                    [b & set(sub) for b in map(frozenset, p_blocks)
+                     if b & set(sub)], sub)
+    with pytest.raises(ValueError):
+        p.restrict(sub + ["x"])
+
+    # an empty block, a state in two blocks, a missing or an unknown state
+    broken = data.draw(st.sampled_from(["empty", "twice", "missing", "extra"]))
+    blocks = [list(b) for b in p_blocks]
+    if broken == "empty":
+        blocks.insert(data.draw(st.integers(0, len(blocks))), [])
+    elif broken == "twice" and n:
+        blocks.append([data.draw(st.sampled_from(order))])
+    elif broken == "missing" and n:
+        gone = data.draw(st.sampled_from(order))
+        blocks = [[s for s in b if s != gone] for b in blocks]
+        blocks = [b for b in blocks if b]
+    else:
+        blocks.append(["x"])
+    assert not _ref_valid(blocks, order)
+    with pytest.raises(ValueError, match="do not partition"):
+        Partition.from_blocks(blocks, order)

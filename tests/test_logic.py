@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,23 @@ def test_deep_nesting_parses_and_renders():
     phi = parse_formula("~" * n + "(" * n + "p" + ")" * n)
     assert render_formula(phi) == "~" * n + "p"
     assert sdelta_eval(phi) is False
+
+
+def test_rendering_a_deep_chain_holds_its_text_once():
+    # a value per level that copied its child's text would hold n**2 / 2
+    # characters: 200 MB at this depth
+    n = 20000
+    phi = Prop("p")
+    for _ in range(n):
+        phi = Not(phi)
+    tracemalloc.start()
+    try:
+        text = render_formula(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "~" * n + "p"
+    assert peak < 20 * 2**20
 
 
 def _distinct_nodes(phi):

@@ -42,8 +42,7 @@ def test_reprs_name_every_field():
         "Lts(states=('x',), actions=('tau',), transitions=())"
     assert repr(Path("lasso", ["a"], ["b"])) == \
         "Path(kind='lasso', stem=('a',), cycle=('b',))"
-    assert repr(Partition({"a": 0}, (frozenset({"a"}),))) == \
-        "Partition(block_of={'a': 0}, blocks=(frozenset({'a'}),))"
+    assert repr(Partition({"a": 0})) == "Partition(block_of={'a': 0})"
     assert repr(Signature(frozenset(), None, True)) == \
         "Signature(observations=frozenset(), divergent=None, completable=True)"
     assert repr(ColouredTrace(["*"], "deadlock")) == \
@@ -84,7 +83,7 @@ def test_fields_cannot_be_assigned_or_deleted():
     k = _ks()
     for value, field in ((Not(P), "sub"), (k, "states"), (k, "other"),
                          (ColouredTrace((), "open"), "end"),
-                         (Partition({}, ()), "blocks"), (PInfinity(), "x")):
+                         (Partition({}), "block_of"), (PInfinity(), "x")):
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(value, field, None)
         with pytest.raises(AttributeError, match="cannot delete"):
@@ -144,7 +143,7 @@ def test_the_shared_constructor_takes_each_field_once():
     report = CounterexampleReport(True, False, products_db_equivalent=True,
                                   components_ed_equivalent=False)
     assert report == CounterexampleReport(True, False, True, False)
-    assert Partition(blocks=(), block_of={}) == Partition({}, ())
+    assert Partition(block_of={}) == Partition({})
     assert PInfinity().__dict__ == {}
     for args, kwargs in (((True,), {}), ((True, ()), {"consistent": True}),
                          ((True, (), 1), {}), ((True,), {"other": ()})):
