@@ -14,7 +14,8 @@ from collections import deque
 # only merge runs on the command line; the experiments below reach the
 # other engines through their modules, which load on first use
 from . import equivalences, figures, generators, linear
-from .structures import Lts, TAU, Value, disjoint_union_lts, fresh_name
+from .structures import (Lts, TAU, Value, _Steps, disjoint_union_lts,
+                         fresh_name)
 
 
 def merge(l1: Lts, s, l2: Lts, t):
@@ -30,31 +31,50 @@ def merge(l1: Lts, s, l2: Lts, t):
     succ1, succ2 = index1.succ, index2.succ
     actions1, actions2 = index1.actions, index2.actions
     names1, names2 = l1.states, l2.states
-    # the search runs on pairs of state ids; each product state's name is
-    # made once, and every transition reuses it
+    # the search runs on pairs of state ids and feeds the product's index
+    # (``_Steps``) as it goes: each product state is named once, when found,
+    # and every step is three integers.  A component's steps are distinct,
+    # so the product's are, except that a right self-loop repeats a left
+    # one with its action; steps go in unchecked (``append``) until two
+    # pairs get one name, which only ids outside the text charset allow
+    steps = _Steps(kripke=False)
+    action, out = steps.action, steps.succ
+    put = steps.append
     start = (index1.number[s], index2.number[t])
     root = f"{s}|{t}"
-    names = {start: root}
-    states = [root]
-    trans = []
+    ids = {start: steps.state(root)}
     queue = deque([start])
 
     def reach(pair):
-        name = names.get(pair)
-        if name is None:
-            name = names[pair] = f"{names1[pair[0]]}|{names2[pair[1]]}"
-            states.append(name)
+        nonlocal put
+        v = ids.get(pair)
+        if v is None:
+            known = len(out)
+            v = ids[pair] = steps.state(f"{names1[pair[0]]}|{names2[pair[1]]}")
+            if v < known:   # a name taken: its steps may repeat from here on
+                put = steps.add
             queue.append(pair)
-        return name
+        return v
 
+    # a component's action id -> the product's, given at first occurrence
+    act1, act2 = [None] * len(actions1), [None] * len(actions2)
     while queue:
         (p, q) = pair = queue.popleft()
-        here = names[pair]
+        here = ids[pair]
         for (a, p2) in succ1[p]:
-            trans.append((here, actions1[a], reach((p2, q))))
+            b = act1[a]
+            if b is None:
+                b = act1[a] = action(actions1[a])
+            v = reach((p2, q))
+            put(here, b, v)
         for (a, q2) in succ2[q]:
-            trans.append((here, actions2[a], reach((p, q2))))
-    product = Lts(tuple(states), l1.actions + l2.actions, tuple(trans))
+            b = act2[a]
+            if b is None:
+                b = act2[a] = action(actions2[a])
+            if q2 != q or (b, here) not in out[here]:
+                v = reach((p, q2))
+                put(here, b, v)
+    product = Lts(steps.number, l1.actions + l2.actions, steps)
     return product, root
 
 

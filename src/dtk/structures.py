@@ -9,13 +9,22 @@ the lines of a text or any iterable of lines, such as a file being
 read, and ``_render`` yields the lines of a structure's text form, so
 the command line never holds a model's whole text.  ``parse_*`` and
 ``render_*`` are the library's string forms of the two.
+
+A structure holds its steps once, in its ``StateIndex``, built with the
+structure: the parser, ``compose.merge`` and the constructors feed one
+assembler, ``_Steps``, that numbers the states and keeps each step as
+integers, dropping a step its source already has.  ``transitions``, the
+steps as tuples of ids, is derived from the index on first read; only
+the consistency check, the disjoint union and equality, hashing and
+printing read it.  The transformations and projections read the same
+tuples one at a time (``iter_transitions``).
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 TAU = "tau"
 DELTA_PROP = "delta"
@@ -37,10 +46,6 @@ class FormatError(ValueError):
 
 class StructureError(ValueError):
     """Raised when a structure violates its invariants."""
-
-
-def _dedup(seq):
-    return tuple(dict.fromkeys(seq))
 
 
 class Value:
@@ -98,94 +103,174 @@ class Value:
 
 class StateIndex(Value):
     """A structure's states numbered ``0..n-1`` in declaration order and
-    its transitions over those ids, built in one pass: ``number`` maps a
-    state to its id, ``succ[u]`` holds ``(action id, target)`` pairs in
-    transition order, ``preds[v]`` the sources of the steps into ``v``,
-    ``deadlock[u]`` is True iff ``u`` has no successor, and ``actions``
-    lists the actions by id.  Id 0 is silent: "tau", or None on a Kripke
-    structure, whose every step is silent.  Equal pairs are one object.
-    Every engine reads this one index, and only reads it."""
+    its steps over those ids: the structure's only copy of its steps.
 
-    __match_args__ = ("number", "succ", "preds", "actions", "deadlock")
+    ``number`` maps a state to its id; ``succ[u]`` holds ``u``'s
+    ``(action id, target)`` pairs without repeats, in the order they first
+    occurred; ``actions`` lists the actions by id; ``deadlock[u]`` is True
+    iff ``u`` has no successor; ``sources`` lists the source of every step
+    in the order the steps first occurred, so ``steps`` replays them in
+    that order.  ``preds[v]``, the sources of the steps into ``v`` in that
+    order, is built on first read.  Id 0 is silent: "tau", or None on a
+    Kripke structure, whose every step is silent.  Equal pairs are one
+    object, and so are equal ids.  ``_Steps`` builds the index; every
+    engine only reads it."""
 
-    @staticmethod
-    def build(states, transitions, kripke):
-        number = {s: i for i, s in enumerate(states)}
-        succ = [[] for _ in states]
-        preds = [[] for _ in states]
-        if kripke:
-            action_id = {None: 0}
-            step = [(0, v) for v in number.values()]
-            for (u, v) in transitions:
-                u, v = number[u], number[v]
-                succ[u].append(step[v])
-                preds[v].append(u)
+    __match_args__ = ("number", "succ", "actions", "deadlock", "sources")
+
+    def steps(self):
+        """Every step as ``(source, (action id, target))``, in the order
+        the steps first occurred; the pairs are those of ``succ``."""
+        rest = [iter(out) for out in self.succ]
+        return zip(self.sources, map(next, map(rest.__getitem__,
+                                               self.sources)))
+
+    @cached_property
+    def preds(self):
+        preds = [[] for _ in self.succ]
+        for u, (_, v) in self.steps():
+            preds[v].append(u)
+        return preds
+
+
+class _Steps:
+    """The one assembler of a ``StateIndex``.  ``state`` numbers a state;
+    ``add`` takes a step as integers and drops it when its source already
+    has it, so the first occurrence stays.  The parser and the structure
+    constructors (through ``extend``) feed it by ``add``, and ``merge``,
+    which knows its steps are new, by ``append``."""
+
+    # a source with this many steps checks repeats in a set, not its list
+    _SCAN = 8
+
+    def __init__(self, kripke, states=()):
+        self.number = {s: u for u, s in enumerate(dict.fromkeys(states))}
+        self.succ = [[] for _ in self.number]
+        self.sources = []
+        self.action_id = {None if kripke else TAU: 0}
+        self._pairs = {}    # (action id, target) -> its one object
+        self._many = {}     # source -> the set of its pairs
+
+    def state(self, s):
+        """The id of state ``s``, numbered next if it is new."""
+        number = self.number
+        u = number.get(s)
+        if u is None:
+            u = number[s] = len(number)
+            self.succ.append([])
+        return u
+
+    def action(self, a):
+        ids = self.action_id
+        return ids.setdefault(a, len(ids))
+
+    def append(self, u, a, v):
+        """Add a step that ``u`` cannot have yet, unchecked; a source fed
+        this way is never fed by ``add``."""
+        pair = (a, v)
+        self.succ[u].append(self._pairs.setdefault(pair, pair))
+        self.sources.append(u)
+
+    def add(self, u, a, v):
+        pair = (a, v)
+        pair = self._pairs.setdefault(pair, pair)
+        out = self.succ[u]
+        if len(out) < self._SCAN:
+            if pair in out:
+                return
         else:
-            action_id = {TAU: 0}
-            pairs = {}
-            for (u, a, v) in transitions:
-                u, v = number[u], number[v]
-                pair = (action_id.setdefault(a, len(action_id)), v)
-                succ[u].append(pairs.setdefault(pair, pair))
-                preds[v].append(u)
-        return StateIndex(number, succ, preds, list(action_id),
-                          [not out for out in succ])
+            seen = self._many.get(u)
+            if seen is None:
+                seen = self._many[u] = set(out)
+            if pair in seen:
+                return
+            seen.add(pair)
+        out.append(pair)
+        self.sources.append(u)
+
+    def extend(self, transitions, width):
+        """Add ``transitions``, tuples of ids; reject the first that is
+        malformed or leaves the numbered states."""
+        number, action, add = self.number, self.action, self.add
+        for t in transitions:
+            if len(t) != width:
+                raise StructureError(f"malformed transition {t!r}")
+            u, v = number.get(t[0]), number.get(t[-1])
+            if u is None or v is None:
+                raise StructureError(f"transition ({', '.join(map(str, t))})"
+                                     " leaves declared states")
+            add(u, 0 if width == 2 else action(t[1]), v)
 
 
 class _StateGraph(Value):
-    """Validation and the cached state index shared by the three
-    structure types.  Subclasses set ``states`` and ``transitions``."""
+    """The state index and the transitions read from it, shared by the
+    three structure types.  Subclasses set ``states`` and ``index``
+    through ``_index``."""
+
+    def _index(self, states, transitions):
+        """Set ``states``, repeats dropped, and the ``index`` of
+        ``transitions`` over them.  ``transitions`` may instead be the
+        ``_Steps`` that the parser or ``merge`` built over ``states``."""
+        steps = transitions
+        if not isinstance(steps, _Steps):
+            steps = _Steps(self._step_width == 2, states)
+            steps.extend(transitions, self._step_width)
+        d = self.__dict__
+        d["states"] = tuple(steps.number)
+        d["index"] = StateIndex(steps.number, steps.succ,
+                                list(steps.action_id),
+                                [not out for out in steps.succ], steps.sources)
+
+    def iter_transitions(self):
+        """The transitions one at a time, as ``transitions`` lists them,
+        without building or keeping that tuple."""
+        states, index = self.states, self.index
+        if self._step_width == 2:
+            return ((states[u], states[v]) for u, (_, v) in index.steps())
+        actions = index.actions
+        return ((states[u], actions[a], states[v])
+                for u, (a, v) in index.steps())
 
     @cached_property
-    def index(self) -> StateIndex:
-        return StateIndex.build(self.states, self.transitions,
-                                self._step_width == 2)
+    def transitions(self):
+        """Every step as a tuple of ids, ``(source, target)`` on a Kripke
+        structure and ``(source, action, target)`` otherwise, in the order
+        the steps first occurred.  Built from the index on first read and
+        kept; the engines read the index instead."""
+        return tuple(self.iter_transitions())
 
     def check_state(self, x):
-        """Raise ValueError unless ``x`` is a declared state.  Scans the
-        states, so no index is built; every caller goes on to do work
-        linear in the structure anyway."""
-        if x not in self.states:
+        """Raise ValueError unless ``x`` is a declared state."""
+        if x not in self.index.number:
             raise ValueError(f"unknown state {x!r}")
-
-    def _checked(self, trans):
-        """``trans`` without duplicates; reject malformed steps and steps
-        that leave the declared states."""
-        declared = set(self.states)
-        if not ({self._step_width}.issuperset(map(len, trans))
-                and declared.issuperset(map(itemgetter(0), trans))
-                and declared.issuperset(map(itemgetter(-1), trans))):
-            for t in trans:    # name the first offender
-                if len(t) != self._step_width:
-                    raise StructureError(f"malformed transition {t!r}")
-                if t[0] not in declared or t[-1] not in declared:
-                    raise StructureError(f"transition ({', '.join(map(str, t))})"
-                                         " leaves declared states")
-        return _dedup(trans)
 
 
 class _LabelledGraph(_StateGraph):
-    """A state graph with a proposition labelling; ``delta_extended``
-    marks structures produced by the deadlock extension, and only those
-    may carry the reserved proposition "delta"."""
+    """A state graph with a proposition labelling, one frozenset per
+    distinct label set; ``delta_extended`` marks structures produced by
+    the deadlock extension, and only those may carry the reserved
+    proposition "delta"."""
 
     __match_args__ = ("states", "labelling", "transitions", "delta_extended")
 
     def __init__(self, states, labelling, transitions, delta_extended=False):
-        d = self.__dict__
-        d["states"] = states = _dedup(states)
+        self._index(states, transitions)
         props_of = {}
-        for s in states:
+        shared = {}     # each distinct label set, checked once, one object
+        for s in self.states:
             props = frozenset(labelling.get(s, ()))
-            for p in props:
-                if not isinstance(p, str) or not p:
-                    raise StructureError(f"bad proposition {p!r} on state {s}")
-                if p == DELTA_PROP and not delta_extended:
-                    raise StructureError(
-                        f"reserved proposition {DELTA_PROP!r} on state {s}")
-            props_of[s] = props
+            if props not in shared:
+                for p in props:
+                    if not isinstance(p, str) or not p:
+                        raise StructureError(
+                            f"bad proposition {p!r} on state {s}")
+                    if p == DELTA_PROP and not delta_extended:
+                        raise StructureError(
+                            f"reserved proposition {DELTA_PROP!r} on state {s}")
+                shared[props] = props
+            props_of[s] = shared[props]
+        d = self.__dict__
         d["labelling"] = props_of
-        d["transitions"] = self._checked(transitions)
         d["delta_extended"] = delta_extended
 
     def label(self, s):
@@ -217,10 +302,9 @@ class Lts(_StateGraph):
     __match_args__ = ("states", "actions", "transitions")
 
     def __init__(self, states, actions, transitions):
-        d = self.__dict__
-        d["states"] = _dedup(states)
-        d["transitions"] = trans = self._checked(transitions)
-        d["actions"] = _dedup([TAU, *actions, *(a for (_, a, _) in trans)])
+        self._index(states, transitions)
+        self.__dict__["actions"] = tuple(dict.fromkeys(
+            [TAU, *actions, *self.index.actions]))
 
     def successors(self, s):
         index = self.index
@@ -322,16 +406,19 @@ def _parse(text, kind, allow_delta=False):
     is e.g. ``edge <src> <dst>``, and a labelled format reads
     ``state <id> { ... }`` where the others read ``state <id>``.  Each
     distinct id is checked against the id charset once: an edge whose
-    tokens are declared states or known actions needs no check.  Ids are
-    interned as they are read, so every edge holds the declared state's
-    string object and one object per action, not fresh copies.
+    tokens are declared states or known actions needs no check.  A
+    declared state is numbered at once, and every edge goes straight
+    into the structure's ``StateIndex`` as integers; no edge tuple is
+    built.  Ids are interned: a state is its declared string object, an
+    action its first.
     """
     edge_syntax, labelled = _FORMATS[kind]
     directive, width = edge_syntax.split()[0], len(edge_syntax.split())
-    states, labelling, edges = [], {}, []
+    steps = _Steps(kind == "ks")
+    labelling = {}
     known = {}      # every well-formed id seen -> its first string object
-    declared = {}   # every declared state id -> the object in ``states``
-    action, state = known.get, declared.get
+    number = steps.number       # every declared state id -> its number
+    state, action, add = number.get, steps.action_id.get, steps.add
     saw_delta = False
     lines = text.splitlines() if isinstance(text, str) else text
     for i, raw in enumerate(lines, start=1):
@@ -346,17 +433,17 @@ def _parse(text, kind, allow_delta=False):
             if len(tokens) != width:
                 raise FormatError(f"expected: {edge_syntax}", i)
             # None marks an undeclared state or an action not seen yet
-            if width == 4:
-                edge = (state(tokens[1]), action(tokens[2]), state(tokens[3]))
-            else:
-                edge = (state(tokens[1]), state(tokens[2]))
-            if None in edge:
+            u, v = state(tokens[1]), state(tokens[-1])
+            a = action(tokens[2]) if width == 4 else 0
+            if u is None or v is None or a is None:
                 _check_new_ids(tokens[1:], known, i)
                 for endpoint in (tokens[1], tokens[-1]):
-                    if endpoint not in declared:
+                    if endpoint not in number:
                         raise FormatError(f"undeclared state {endpoint!r}", i)
-                edge = tuple(map(known.get, tokens[1:]))
-            edges.append(edge)
+                u, v = number[tokens[1]], number[tokens[-1]]
+                if a is None:
+                    a = steps.action(known[tokens[2]])
+            add(u, a, v)
         elif tokens[0] == "state":
             if not labelled:
                 if len(tokens) != 2:
@@ -369,7 +456,7 @@ def _parse(text, kind, allow_delta=False):
             sid = tokens[1]
             if sid not in known or not all(map(known.__contains__, props)):
                 _check_new_ids([sid, *props], known, i)
-            if sid in declared:
+            if sid in number:
                 raise FormatError(f"duplicate state {sid!r}", i)
             if DELTA_PROP in props:
                 if not allow_delta:
@@ -377,16 +464,15 @@ def _parse(text, kind, allow_delta=False):
                         f"proposition {DELTA_PROP!r} is reserved", i)
                 saw_delta = True
             sid = known[sid]
-            declared[sid] = sid
-            states.append(sid)
-            labelling[sid] = props
+            steps.state(sid)
+            if labelled:
+                labelling[sid] = props
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", i)
-    states, edges = tuple(states), tuple(edges)
     if kind == "lts":
-        return Lts(states, (TAU,), edges)
+        return Lts(number, (TAU,), steps)
     graph = KripkeStructure if kind == "ks" else DoublyLabelledTS
-    return graph(states, labelling, edges, delta_extended=saw_delta)
+    return graph(number, labelling, steps, delta_extended=saw_delta)
 
 
 def parse_ks(text, allow_delta: bool = False) -> KripkeStructure:
@@ -429,9 +515,10 @@ def _sanitize_ids(states):
 def _render(g):
     """Yield the text form line by line, each line with its line break:
     labelled or plain state lines, then an ``edge`` line per Kripke
-    transition or a ``trans`` line per action transition.  A structure
-    without states is one empty line.  The CLI writes the lines as they
-    come; ``render_*`` join them."""
+    transition or a ``trans`` line per action transition, read off the
+    index in transition order.  A structure without states is one empty
+    line.  The CLI writes the lines as they come; ``render_*`` join
+    them."""
     ids = _sanitize_ids(g.states)
     labelling = getattr(g, "labelling", None)
     if not g.states:
@@ -443,9 +530,11 @@ def _render(g):
         props = " ".join(sorted(labelling[s]))
         yield (f"state {ids[s]} {{ {props} }}\n" if props
                else f"state {ids[s]} {{}}\n")
-    for t in g.transitions:
-        yield (f"edge {ids[t[0]]} {ids[t[1]]}\n" if len(t) == 2
-               else f"trans {ids[t[0]]} {t[1]} {ids[t[2]]}\n")
+    names, actions = list(ids.values()), g.index.actions    # by id
+    edges = g._step_width == 2
+    for u, (a, v) in g.index.steps():
+        yield (f"edge {names[u]} {names[v]}\n" if edges
+               else f"trans {names[u]} {actions[a]} {names[v]}\n")
 
 
 def render_ks(k: KripkeStructure) -> str:
@@ -466,14 +555,14 @@ def render_l2ts(d: DoublyLabelledTS) -> str:
 
 def associated_ks(d: DoublyLabelledTS) -> KripkeStructure:
     """Forget the action labels; duplicate edges collapse."""
-    edges = tuple((u, v) for (u, a, v) in d.transitions)
+    edges = ((u, v) for (u, _, v) in d.iter_transitions())
     return KripkeStructure(d.states, d.labelling, edges,
                            delta_extended=d.delta_extended)
 
 
 def associated_lts(d: DoublyLabelledTS) -> Lts:
     """Forget the state labelling."""
-    return Lts(d.states, (TAU,), d.transitions)
+    return Lts(d.states, (TAU,), d.iter_transitions())
 
 
 def check_consistency(d: DoublyLabelledTS) -> ConsistencyReport:

@@ -9,6 +9,8 @@ are semantic inverses across the deadlock extension.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import logic
 from .structures import (
     DELTA_PROP,
@@ -36,16 +38,19 @@ def eta_midpoint(l: Lts):
         dummy = fresh_name(DUMMY_PROP, set(l.actions) | {dummy})
     states = list(l.states)
     taken = set(states)
-    labelling = {s: {dummy} for s in states}
+    # one label object per distinct label: the original states share one,
+    # and the midpoints of one action another
+    labelling = dict.fromkeys(states, frozenset((dummy,)))
+    marks = {}
     trans = []
-    for (u, a, v) in l.transitions:
+    for (u, a, v) in l.iter_transitions():
         if a == TAU:
             trans.append((u, a, v))
             continue
         mid = fresh_name(f"m.{u}.{a}.{v}", taken)
         taken.add(mid)
         states.append(mid)
-        labelling[mid] = {a}
+        labelling[mid] = marks.setdefault(a, frozenset((a,)))
         trans.append((u, a, mid))
         trans.append((mid, a, v))
     d = DoublyLabelledTS(tuple(states), labelling, tuple(trans))
@@ -61,13 +66,10 @@ def ks_to_l2ts(k: KripkeStructure) -> DoublyLabelledTS:
     """Label every step by its target's label set (silent when the label
     does not change).  The result is consistent and projects back to
     ``k`` on the Kripke side."""
-    trans = []
-    for (u, v) in k.transitions:
-        if k.labelling[u] == k.labelling[v]:
-            trans.append((u, TAU, v))
-        else:
-            trans.append((u, _action_for(k.labelling[v]), v))
-    return DoublyLabelledTS(k.states, dict(k.labelling), tuple(trans),
+    lab = k.labelling
+    trans = ((u, TAU if lab[u] == lab[v] else _action_for(lab[v]), v)
+             for (u, v) in k.iter_transitions())
+    return DoublyLabelledTS(k.states, dict(lab), trans,
                             delta_extended=k.delta_extended)
 
 
@@ -90,16 +92,16 @@ def deadlock_extension(k: KripkeStructure):
     states = tuple(k.states) + (sink,)
     labelling = dict(k.labelling)
     labelling[sink] = {DELTA_PROP}
-    edges = list(k.transitions) + [(d, sink) for d in _deadlocks(k)]
-    edges.append((sink, sink))
-    return (KripkeStructure(states, labelling, tuple(edges),
+    edges = chain(k.iter_transitions(), ((d, sink) for d in _deadlocks(k)),
+                  [(sink, sink)])
+    return (KripkeStructure(states, labelling, edges,
                             delta_extended=True), sink)
 
 
 def totalize_deadlock_selfloops(k: KripkeStructure) -> KripkeStructure:
     """Add a self-loop to every deadlock state.  Maximal-path validity of
     infinity-free formulas is unchanged."""
-    edges = tuple(k.transitions) + tuple((d, d) for d in _deadlocks(k))
+    edges = chain(k.iter_transitions(), ((d, d) for d in _deadlocks(k)))
     return KripkeStructure(k.states, dict(k.labelling), edges,
                            delta_extended=k.delta_extended)
 
@@ -108,7 +110,7 @@ def totalize_all_selfloops(k: KripkeStructure) -> KripkeStructure:
     """Add a self-loop to every state.  Divergence-blind validity on the
     input matches maximal-path validity on the result, and the blind
     stuttering partition becomes the sensitive one."""
-    edges = tuple(k.transitions) + tuple((s, s) for s in k.states)
+    edges = chain(k.iter_transitions(), ((s, s) for s in k.states))
     return KripkeStructure(k.states, dict(k.labelling), edges,
                            delta_extended=k.delta_extended)
 

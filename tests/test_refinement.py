@@ -282,14 +282,14 @@ BOTH = (Lts, KripkeStructure)
 ], ids=["coarsest", "history", "check_colouring", "divergent", "equivalent",
         "sat", "distinguish", "merge", "complete_traces"])
 def test_every_engine_reuses_the_one_cached_index(use, kinds):
-    """The first use builds ``g.index``, a second finds it, and nothing
-    else is cached on the structure."""
+    """Every use finds the one ``g.index``, built with the structure,
+    and nothing else is cached on the structure."""
     for g in _fresh_structures():
         if not isinstance(g, kinds):
             continue
         fields = set(g.__dict__)
         use(g)
-        index = g.__dict__["index"]     # built on first use
+        index = g.__dict__["index"]     # built with the structure
         use(g)
         assert g.index is index
         assert set(g.__dict__) == fields | {"index"}

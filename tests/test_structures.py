@@ -333,9 +333,9 @@ def test_index_shares_equal_successor_pairs():
     assert k.index.succ[0][0] is k.index.succ[1][0]
 
 
-def test_check_state_scans_the_states():
+def test_check_state_reads_the_index():
     l = parse_lts(BRANCHING_LTS_TEXT)
     l.check_state("z")
     with pytest.raises(ValueError, match="unknown state 'nope'"):
         l.check_state("nope")
-    assert "index" not in l.__dict__
+    assert "transitions" not in l.__dict__

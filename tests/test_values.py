@@ -51,9 +51,9 @@ def test_reprs_name_every_field():
         "TraceVerdict(equal=False, exact=True, witness=('s', ()))"
     assert repr(ConsistencyReport(True, ())) == \
         "ConsistencyReport(consistent=True, violations=())"
-    assert repr(StateIndex({}, [], [], ["tau"], [])) == (
-        "StateIndex(number={}, succ=[], preds=[], actions=['tau'], "
-        "deadlock=[])")
+    assert repr(StateIndex({}, [], ["tau"], [], [])) == (
+        "StateIndex(number={}, succ=[], actions=['tau'], deadlock=[], "
+        "sources=[])")
     assert repr(LtlWitness(PInfinity(), "s", "t")) == \
         "LtlWitness(formula=PInfinity(), holds_from='s', fails_from='t')"
     assert repr(SampleReport(EquivVariant.EXPLICIT_DIVERGENCE, 1, 1, (), 7)) \
@@ -162,7 +162,7 @@ def test_copies_are_equal_values():
                      pickle.loads(pickle.dumps(value))):
             assert twin == value and repr(twin) == repr(value)
     k = _ks()
-    assert k.index is k.index       # a cached property
+    assert k.index is k.index       # built once, with the structure
     twin = copy.deepcopy(k)
     assert twin.index.succ == [[(0, 1)], []]
     assert twin.successors("a") == ["b"]
