@@ -9,24 +9,23 @@ run of inert steps inside the state's own block:
   * on a Kripke structure every step to a same-block state is inert and
     the observation is the target block.
 
-Depending on the variant the signature also carries an in-block
-divergence bit (an infinite inert run exists) and/or an in-block
-completion bit (an inert run reaches a deadlock state or diverges).
+Divergence and completion are observed the way the deadlock extension
+observes deadlock: as marker observations.  Under explicit divergence a
+state that starts an infinite inert run observes ``DIVERGES``; under
+divergence sensitivity a state whose inert runs can complete (reach a
+deadlock state or diverge) observes ``COMPLETES``; divergence blindness
+observes neither.  A state's signature is one set, and a variant
+compares signatures by set equality.
 
 The signatures of one block come from one Tarjan pass over the block's
 inert graph.  Its strongly connected components are finished after
 every component they reach, so a component's observations are its
-members' non-inert steps plus the observations of the components its
-inert steps enter; it diverges when it has an internal inert step (a
-cycle or a self-loop) or enters a divergent component, and it can
-complete when it diverges, holds a deadlock state or enters a
-component that can complete.  All members share one record
-``(observations, divergent, completable)``, and within one pass equal
-observation sets and equal records are one shared object, so a block
-holds one record per distinct signature, not one per state.  A round
-buckets the records by the part its variant compares: the divergence
-bit under explicit divergence, the completion bit under divergence
-sensitivity, neither when divergence blind.
+members' non-inert steps, its marker (when it has an internal inert
+step, a cycle or a self-loop, or under divergence sensitivity holds a
+deadlock state), and the observations of the components its inert
+steps enter: the markers travel upstream with the rest.  All members
+share one set, and within one pass equal sets are one shared object,
+so a block holds one set per distinct signature, not one per state.
 
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
@@ -34,10 +33,11 @@ coarsest consistent colouring of the respective kind.  A refinement
 reads the structure's integer state index (``g.index``: ``(action id,
 target)`` successor pairs, predecessor lists, deadlock flags) and keeps
 a block id per state and a member list per block; an observation is
-one integer.  The first round computes every block.  When a block
-splits, its largest piece keeps the block id and the other pieces move
-to new ids.  A later round computes only the dirty blocks: the pieces
-of a split, and the blocks that hold a predecessor of a moved state.
+one non-negative integer, a marker a negative one.  The first round
+computes every block.  When a block splits, its largest piece keeps the
+block id and the other pieces move to new ids.  A later round computes
+only the dirty blocks: the pieces of a split, and the blocks that hold
+a predecessor of a moved state.
 Any other block has the same steps into the same block ids as in the
 round before, so its members' signatures are still equal and a full
 round would not split it either; every round therefore yields the same
@@ -49,7 +49,7 @@ at the end, into one block id per state: no block holds a member set.
 ids per round.  For a split it makes one ``_block_signatures`` call
 from the two states the split separates, over the round before: the
 pass covers exactly the states they reach by inert steps, all that
-their records depend on.
+their signatures depend on.
 ``refinement_history`` canonicalises every round and computes every
 signature, for tests and tools that read a whole round.
 """
@@ -153,35 +153,51 @@ def _labels(g):
 
 
 class Signature(Value):
-    """One refinement-round summary of a state."""
+    """One refinement-round summary of a state: its real observations,
+    and whether it observes ``DIVERGES`` (explicit divergence) or
+    ``COMPLETES`` (divergence sensitivity); None where the variant has
+    no such marker."""
 
     __match_args__ = ("observations", "divergent", "completable")
 
 
-def _block_signatures(members, block, index):
-    """The records of one block's members and of every state they reach
-    by inert steps, as ``(observations, divergent, completable)`` tuples
-    keyed by state id, from one Tarjan pass over the block's inert
-    graph.  Equal observation sets, and equal records, are one shared
-    object.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
-    and ``v`` is in the block.  An observation ``(a, block(v))`` is
-    encoded as the integer ``block(v) * len(actions) + a``."""
+# marker observations; a real one, ``block * width + action``, is >= 0
+DIVERGES = -1
+COMPLETES = -2
+
+# per variant: the markers of a component with an internal inert step,
+# and of one that holds a deadlock state
+_MARKERS = {
+    EquivVariant.DIVERGENCE_BLIND: ((), ()),
+    EquivVariant.DIVERGENCE_SENSITIVE: ((COMPLETES,), (COMPLETES,)),
+    EquivVariant.EXPLICIT_DIVERGENCE: ((DIVERGES,), ()),
+}
+
+
+def _block_signatures(members, block, index, variant):
+    """The signatures of one block's members and of every state they
+    reach by inert steps, as observation sets keyed by state id, from
+    one Tarjan pass over the block's inert graph.  Equal sets are one
+    shared object.  A step ``(a, v)`` is inert iff ``a`` is the silent
+    action 0 and ``v`` is in the block.  An observation ``(a,
+    block(v))`` is encoded as the integer ``block(v) * len(actions) +
+    a``; the variant's marker is added where it applies."""
     succ, deadlock = index.succ, index.deadlock
     width = len(index.actions)
     own = block[members[0]]
+    on_cycle, on_deadlock = _MARKERS[variant]
 
     def inert(u):
         return [v for (a, v) in succ[u] if not a and block[v] == own]
 
-    records = {}   # state -> the record of its SCC
-    shared = {}    # each distinct observation set and record -> itself
+    records = {}   # state -> the observation set of its SCC
+    shared = {}    # each distinct observation set -> itself
     for scc in strongly_connected_components(members, inert):
         obs = set()
         largest = frozenset()   # the largest observation set taken over
-        div = comp = False
         for u in scc:
             if deadlock[u]:
-                comp = True
+                obs.update(on_deadlock)
             for (a, v) in succ[u]:
                 b = block[v]
                 if a or b != own:
@@ -189,33 +205,17 @@ def _block_signatures(members, block, index):
                     continue
                 below = records.get(v)
                 if below is None:   # v is in this SCC: an inert cycle
-                    div = True
+                    obs.update(on_cycle)
                 else:
-                    if len(below[0]) > len(largest):
-                        largest = below[0]
-                    obs |= below[0]
-                    div = div or below[1]
-                    comp = comp or below[2]
-        comp = comp or div
+                    if len(below) > len(largest):
+                        largest = below
+                    obs |= below
         # ``largest`` is a subset of ``obs``; reuse it when they are equal
         obs = largest if len(obs) == len(largest) else frozenset(obs)
         obs = shared.setdefault(obs, obs)
-        rec = (obs, div, comp)
-        rec = shared.setdefault(rec, rec)
         for u in scc:
-            records[u] = rec
+            records[u] = obs
     return records
-
-
-def _masked(variant):
-    """The function from a record ``(observations, divergent,
-    completable)`` to the signature ``variant`` compares: the bit it has
-    no use for is None."""
-    if variant is EquivVariant.EXPLICIT_DIVERGENCE:
-        return lambda rec: (rec[0], rec[1], None)
-    if variant is EquivVariant.DIVERGENCE_SENSITIVE:
-        return lambda rec: (rec[0], None, rec[2])
-    return lambda rec: (rec[0], None, None)
 
 
 def _initial_blocks(g):
@@ -246,7 +246,6 @@ def _rounds(g, variant: EquivVariant):
     partition the previous one left.
     """
     index = g.index
-    signature = _masked(variant)
     block = _initial_blocks(g)
     members = [[] for _ in set(block)]
     for u, b in enumerate(block):
@@ -259,10 +258,10 @@ def _rounds(g, variant: EquivVariant):
             group = members[b]
             if len(group) < 2:   # a singleton never splits
                 continue
-            records = _block_signatures(group, block, index)
+            records = _block_signatures(group, block, index, variant)
             buckets = {}
             for u in group:
-                buckets.setdefault(signature(records[u]), []).append(u)
+                buckets.setdefault(records[u], []).append(u)
             if len(buckets) > 1:
                 # the largest piece keeps the block id, the others move
                 splits.append((b, sorted(buckets.values(), key=len,
@@ -299,12 +298,14 @@ def refinement_history(g, variant: EquivVariant):
     """
     actions = g.index.actions
     width = len(actions)
-    signature = _masked(variant)
+    ed = variant is EquivVariant.EXPLICIT_DIVERGENCE
+    ds = variant is EquivVariant.DIVERGENCE_SENSITIVE
 
-    def readable(rec):
-        obs, div, comp = signature(rec)
+    def readable(obs):
         return Signature(frozenset((actions[c % width], c // width)
-                                   for c in obs), div, comp)
+                                   for c in obs if c >= 0),
+                         DIVERGES in obs if ed else None,
+                         COMPLETES in obs if ds else None)
 
     history = []
     prev = None
@@ -312,9 +313,9 @@ def refinement_history(g, variant: EquivVariant):
         part = _partition(g.states, block)
         sigs = None
         if prev is not None:
-            sigs = {g.states[u]: readable(rec)
-                    for records in _block_kernels(g, prev)
-                    for u, rec in records.items()}
+            sigs = {g.states[u]: readable(obs)
+                    for records in _block_kernels(g, prev, variant)
+                    for u, obs in records.items()}
         history.append((part, sigs))
         prev = part
     return history
@@ -340,33 +341,31 @@ def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partitio
     return _coarsest(k, variant)
 
 
-def _block_kernels(g, p: Partition):
-    """Each block's records over ``p``, one whole kernel pass per block,
-    as every record is read; ``p`` must cover the states."""
+def _block_kernels(g, p: Partition, variant: EquivVariant):
+    """Each block's signatures over ``p``, one whole kernel pass per
+    block, as every signature is read; ``p`` must cover the states."""
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
     index = g.index
     block = [p.block_of[s] for s in g.states]
     return (_block_signatures([index.number[s] for s in members], block,
-                              index) for members in p.members())
+                              index, variant) for members in p.members())
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     """Decide validity of a colouring through the finite per-block
     conditions: equal observation sets (length-three coloured traces),
-    plus a uniform divergence or completion bit where the variant asks
-    for one; on a Kripke structure blocks must also be label-uniform."""
-    kernels = _block_kernels(g, p)
+    the variant's divergence or completion marker included; on a Kripke
+    structure blocks must also be label-uniform."""
+    kernels = _block_kernels(g, p, variant)
     labels = _labels(g)
     if labels is not None:
         label_of = {}   # block id -> the label of its first state
         if any(label_of.setdefault(b, labels[s]) != labels[s]
                for s, b in p.block_of.items()):
             return False
-    signature = _masked(variant)
-    return all(len(set(map(signature, records.values()))) == 1
-               for records in kernels)
+    return all(len(set(records.values())) == 1 for records in kernels)
 
 
 def _set_partitions(items):
@@ -407,9 +406,9 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
-    return {g.states[u]
-            for records in _block_kernels(g, p)
-            for u, (_, div, _) in records.items() if div}
+    kernels = _block_kernels(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
+    return {g.states[u] for records in kernels
+            for u, obs in records.items() if DIVERGES in obs}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

@@ -466,11 +466,11 @@ def distinguish(k: KripkeStructure, s, t,
     The construction walks the refinement rounds, each a tuple of block
     ids by state id: a label difference yields a literal; a block split
     by an observation yields an existential until over
-    block-characterising formulas; splits by the divergence or completion
-    bit yield an infinite-globally or globally formula.  A state's
-    signature is computed only when a split needs it.  Blocks are taken
-    in the order of their first-declared members, the order of canonical
-    block ids.  Check divergence-blind formulas under the divergence-blind
+    block-characterising formulas; a split by the ``DIVERGES`` or
+    ``COMPLETES`` marker alone yields an infinite-globally or globally
+    formula.  A state's signature is computed only when a split needs
+    it.  Blocks are taken in the order of their first-declared members,
+    the order of canonical block ids.  Check divergence-blind formulas under the divergence-blind
     semantics and the others under maximal-path semantics.  The
     characterising formulas are built on an explicit stack, so no number
     of rounds is too deep.
@@ -481,7 +481,6 @@ def distinguish(k: KripkeStructure, s, t,
     index = k.index
     # an observation is the integer ``block id * width + action id``
     width = len(index.actions)
-    signature = equivalences._masked(variant)
     s, t = index.number[s], index.number[t]
     if rounds[-1][s] == rounds[-1][t]:
         return None
@@ -552,23 +551,24 @@ def distinguish(k: KripkeStructure, s, t,
         # u and w share a block of the round before, so one pass from
         # both covers every state either reaches by inert steps
         records = equivalences._block_signatures(
-            [u, w], rounds[level - 1], index)
-        ou, du, cu = signature(records[u])
-        ow, dw, cw = signature(records[w])
-        if ou - ow:
+            [u, w], rounds[level - 1], index, variant)
+        ou, ow = records[u], records[w]
+        # real observations first: a marker is negative, and would make
+        # ``rep`` read ``firsts[-1]``
+        extra = [c for c in ou - ow if c >= 0]
+        if extra:
             return ExistsUntil((yield u, level - 1),
-                               (yield rep(ou - ow), level - 1))
-        if ow - ou:
+                               (yield rep(extra), level - 1))
+        extra = [c for c in ow - ou if c >= 0]
+        if extra:
             return Not(ExistsUntil((yield w, level - 1),
-                                   (yield rep(ow - ou), level - 1)))
-        if du != dw:
-            if du:
-                return ExistsGInf((yield u, level - 1))
-            return Not(ExistsGInf((yield w, level - 1)))
-        if cu != cw:
-            if cu:
-                return ExistsG((yield u, level - 1))
-            return Not(ExistsG((yield w, level - 1)))
+                                   (yield rep(extra), level - 1)))
+        if ou != ow:   # they differ in the variant's one marker
+            op = (ExistsGInf if equivalences.DIVERGES in ou ^ ow
+                  else ExistsG)
+            if ou > ow:
+                return op((yield u, level - 1))
+            return Not(op((yield w, level - 1)))
         raise AssertionError("states split without a signature difference")
 
     def build(gen):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dtk import figures
 from dtk.equivalences import (
+    COMPLETES,
+    DIVERGES,
     EquivVariant,
     _block_signatures,
     _set_partitions,
@@ -294,25 +296,26 @@ def test_meet_and_join_are_lattice_bounds():
 
 def test_block_signatures_share_equal_sets_and_records():
     # 60 states in one block, each with a visible step out of it: two
-    # observation sets, and a silent self-loop on every third state
-    # gives the set with and without divergence
+    # observation sets, and a silent self-loop on every third state adds
+    # the variant's marker, so two more sets where the variant has one
     n = 60
     states = tuple(f"s{i}" for i in range(n)) + ("out",)
     trans = [(f"s{i}", "ab"[i % 2], "out") for i in range(n)]
     trans += [(f"s{i}", TAU, f"s{i}") for i in range(0, n, 3)]
     index = Lts(states, (TAU,), tuple(trans)).index
     block = [0] * n + [1]
-    records = _block_signatures(list(range(n)), block, index)
-    assert len(records) == n
-    recs = list(records.values())
-    sets = [obs for (obs, _, _) in recs]
-    assert len(set(recs)) == 4 and len(set(map(id, recs))) == 4
-    assert len(set(sets)) == 2 and len(set(map(id, sets))) == 2
-    # each record as the round reads it
-    for u in range(n):
-        (obs, div, comp) = records[u]
-        assert obs == {(1 if u % 2 == 0 else 2) + len(index.actions)}
-        assert div == comp == (u % 3 == 0)
+    for variant, marker, distinct in ((DB, None, 2), (ED, DIVERGES, 4),
+                                      (DS, COMPLETES, 4)):
+        records = _block_signatures(list(range(n)), block, index, variant)
+        assert len(records) == n
+        sets = list(records.values())
+        assert len(set(sets)) == distinct
+        assert len(set(map(id, sets))) == distinct
+        # each set as the round reads it: the marker exactly on the loops
+        for u in range(n):
+            real = {(1 if u % 2 == 0 else 2) + len(index.actions)}
+            looped = {marker} if marker is not None and u % 3 == 0 else set()
+            assert records[u] == real | looped
 
 
 # --- the id-based Partition against a frozenset reference ------------------

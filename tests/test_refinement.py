@@ -2,10 +2,11 @@
 
 ``_bfs_signatures`` computes each state's signature the naive way, with
 one breadth-first search of its inert closure per state; every round of
-``refinement_history`` must match it field for field.  A round of the
-engine recomputes only the blocks a split may have touched, so each of
-its rounds must also equal a round that recomputes every state.  The
-scale test refines a 2000-state LTS and compares the divergence-blind
+``refinement_history`` must match it field for field, and so must
+``check_colouring`` and ``divergent_states`` on arbitrary colourings.
+A round of the engine recomputes only the blocks a split may have
+touched, so each of its rounds must also equal a round that recomputes
+every state.  The scale test refines a 2000-state LTS and compares the divergence-blind
 result with a refinement whose observation sets are a plain least
 fixpoint.
 """
@@ -147,6 +148,33 @@ def test_divergent_states_match_per_state_bfs(l):
     p = refinement_history(l, DB)[-1][0]
     ref = _bfs_signatures(l, p, ED)
     assert divergent_states(l, p) == {s for s in l.states if ref[s][1]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(inert_graphs("lts"), inert_graphs("ks")), st.data())
+def test_arbitrary_colourings_match_per_state_bfs(g, data):
+    # one to four blocks drawn at random, not a refinement round: they
+    # often split an inert cycle, so a state's divergence depends on the
+    # colouring and not only on the graph; beside them the coarsest
+    # divergence-blind colouring, which the other variants accept only
+    # where the marker agrees
+    n = len(g.states)
+    k = data.draw(st.integers(1, 4))
+    drawn = _partition(g.states, data.draw(
+        st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    coarsest = (coarsest_partition_ks if isinstance(g, KripkeStructure)
+                else coarsest_partition_lts)
+    for p in (drawn, coarsest(g, DB)):
+        labelled = (not isinstance(g, KripkeStructure)
+                    or len({(p.block_of[s], g.labelling[s])
+                            for s in g.states}) == len(p))
+        for variant in EquivVariant:
+            ref = _bfs_signatures(g, p, variant)
+            uniform = len({(p.block_of[s], ref[s])
+                           for s in g.states}) == len(p)
+            assert check_colouring(g, p, variant) == (labelled and uniform)
+        ref = _bfs_signatures(g, p, ED)
+        assert divergent_states(g, p) == {s for s in g.states if ref[s][1]}
 
 
 @st.composite
