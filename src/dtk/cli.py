@@ -133,12 +133,12 @@ def cmd_model_check(args) -> int:
         model.check_state(args.state)
     phi = logic.parse_formula(args.formula)   # FormulaError exits 2 in main
     satisfied = logic.sat(model, phi, logic.Semantics(args.semantics))
-    ordered = [s for s in model.states if s in satisfied]
     if args.state is not None:
         truth = args.state in satisfied
         _emit(args, "model-check", {"state": args.state, "holds": truth},
               ["true" if truth else "false"])
         return 0 if truth else 1
+    ordered = [s for s in model.states if s in satisfied]
     _emit(args, "model-check", {"satisfying": ordered}, [" ".join(ordered)])
     return 0
 
@@ -163,7 +163,7 @@ def cmd_transform(args) -> int:
         args.usage_error(f"argument --allow-delta: not allowed with --op {op}")
     header = ()
     if op == "eta":
-        result, _ = transforms.eta_midpoint(_load_model(args.model, "lts"))
+        result = transforms.eta_midpoint(_load_model(args.model, "lts"))
     else:
         model = _load_model(args.model, "ks", allow_delta=args.allow_delta)
         if op == "ks2l2ts":
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the exhaustive oracle")
     common(p)
-    p.set_defaults(func=cmd_check_equiv)
+    p.set_defaults(func=cmd_check_equiv, usage_error=p.error)
 
     p = sub.add_parser("model-check", help="satisfaction set or one state")
     p.add_argument("--model", required=True)
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--bound", type=int, default=12)
     common(p)
-    p.set_defaults(func=cmd_traces)
+    p.set_defaults(func=cmd_traces, usage_error=p.error)
 
     return parser
 
@@ -341,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an LTS carries no propositions: --allow-delta has nothing to allow
+    if getattr(args, "kind", None) == "lts" and args.allow_delta:
+        args.usage_error("argument --allow-delta: not allowed with --kind lts")
     try:
         return args.func(args)
     # ValueError covers FormatError, StructureError and FormulaError

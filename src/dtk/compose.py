@@ -84,7 +84,7 @@ def merged_pair_system(l1: Lts, s, l2: Lts, t, l3: Lts, s2, l4: Lts, t2):
     Returns (union LTS, root of the first merge, root of the second)."""
     left, root_left = merge(l1, s, l2, t)
     right, root_right = merge(l3, s2, l4, t2)
-    union, _, map2 = disjoint_union_lts(left, right)
+    union, map2 = disjoint_union_lts(left, right)
     return union, root_left, map2[root_right]
 
 

@@ -31,7 +31,7 @@ Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.  A refinement
 reads the structure's integer state index (``g.index``: ``(action id,
-target)`` successor pairs, predecessor lists, deadlock flags) and keeps
+target)`` successor pairs, predecessor lists) and keeps
 a block id per state and a member list per block; an observation is
 one non-negative integer, a marker a negative one.  The first round
 computes every block.  When a block splits, its largest piece keeps the
@@ -104,9 +104,6 @@ class Partition(Value):
     def same_block(self, s, t) -> bool:
         return self.block_of[s] == self.block_of[t]
 
-    def block_sets(self):
-        return set(map(frozenset, self.members()))
-
     def restrict(self, states):
         """The induced partition on a subset of the states."""
         states = list(states)   # read once: it may be an iterator
@@ -118,16 +115,15 @@ class Partition(Value):
         return len(set(self.block_of.values()))
 
 
-def meet(p: Partition, q: Partition, state_order) -> Partition:
-    """Coarsest partition refining both arguments."""
-    state_order = list(state_order)
-    return _partition(state_order, [(p.block_of[s], q.block_of[s])
-                                    for s in state_order])
+def meet(p: Partition, q: Partition) -> Partition:
+    """Coarsest partition refining both arguments, in ``p``'s order."""
+    return _partition(p.block_of, [(b, q.block_of[s])
+                                   for s, b in p.block_of.items()])
 
 
-def join(p: Partition, q: Partition, state_order) -> Partition:
-    """Finest partition coarsened by both arguments (union-find)."""
-    state_order = list(state_order)
+def join(p: Partition, q: Partition) -> Partition:
+    """Finest partition coarsened by both arguments, in ``p``'s order."""
+    state_order = list(p.block_of)
     parent = {s: s for s in state_order}
 
     def find(x):
@@ -182,7 +178,7 @@ def _block_signatures(members, block, index, variant):
     action 0 and ``v`` is in the block.  An observation ``(a,
     block(v))`` is encoded as the integer ``block(v) * len(actions) +
     a``; the variant's marker is added where it applies."""
-    succ, deadlock = index.succ, index.deadlock
+    succ = index.succ
     width = len(index.actions)
     own = block[members[0]]
     on_cycle, on_deadlock = _MARKERS[variant]
@@ -196,7 +192,7 @@ def _block_signatures(members, block, index, variant):
         obs = set()
         largest = frozenset()   # the largest observation set taken over
         for u in scc:
-            if deadlock[u]:
+            if not succ[u]:
                 obs.update(on_deadlock)
             for (a, v) in succ[u]:
                 b = block[v]
@@ -397,7 +393,7 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
     for blocks in _set_partitions(states):
         cand = Partition.from_blocks(blocks, states)
         if check_colouring(g, cand, variant):
-            result = cand if result is None else join(result, cand, states)
+            result = cand if result is None else join(result, cand)
     if result is None or not check_colouring(g, result, variant):
         raise AssertionError("no valid colouring found; identity must be valid")
     return result

@@ -1,26 +1,18 @@
 """Seeded random structure and formula generators.
 
-Used by the congruence sampler and by the test/acceptance suites; all
-generators are deterministic functions of the supplied ``random.Random``.
+Used by the congruence sampler and by the test/acceptance suites.
+Every generator takes a ``random.Random``, not a seed, and is a
+deterministic function of it.
 """
 
 from __future__ import annotations
-
-import random
 
 from . import logic
 from .structures import DELTA_PROP, KripkeStructure, Lts, TAU
 
 
-def _as_rng(rng) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
-
-
 def random_ks(rng, max_states: int = 6, props=("p", "q"),
               edge_bias: float = 0.3) -> KripkeStructure:
-    rng = _as_rng(rng)
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
     labelling = {
@@ -34,7 +26,6 @@ def random_ks(rng, max_states: int = 6, props=("p", "q"),
 
 def random_lts(rng, max_states: int = 6, actions=("a", "b"),
                edge_bias: float = 0.25, tau_bias: float = 0.4) -> Lts:
-    rng = _as_rng(rng)
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
     palette = (TAU,) + tuple(actions)
@@ -55,7 +46,6 @@ def random_acyclic_lts(rng, max_states: int = 4, actions=("a", "b"),
     Such systems (and their merges) have finitely many complete traces,
     so bounded trace enumeration exhausts on them.
     """
-    rng = _as_rng(rng)
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
     trans = []
@@ -73,7 +63,6 @@ def random_formula(rng, props=("p", "q"), depth: int = 2,
                    include_infinity: bool = True,
                    include_delta: bool = False):
     """A random state formula of the model-checked fragment."""
-    rng = _as_rng(rng)
     atoms = list(props)
     if include_delta:
         atoms.append(DELTA_PROP)

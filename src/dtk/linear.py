@@ -91,12 +91,13 @@ def _primitive(cycle):
 def _canonical_lasso(stem, cycle):
     """Unique form of an ultimately periodic step word: shortest stem,
     primitive cycle."""
+    # a rotation of a primitive word is primitive: reduce the cycle once
     cyc = list(_primitive(tuple(cycle)))
     stem = list(stem)
     while stem and stem[-1] == cyc[-1]:
         cyc.insert(0, cyc.pop())
         stem.pop()
-    return tuple(stem), tuple(_primitive(tuple(cyc)))
+    return tuple(stem), tuple(cyc)
 
 
 def _colouring_fn(g, colouring):

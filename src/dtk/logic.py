@@ -327,11 +327,6 @@ def render_formula(phi) -> str:
     return _flatten(_fold(phi, _render))
 
 
-def formula_propositions(phi) -> set:
-    return _fold(phi, lambda f, kids: (
-        {f.name} if type(f) is Prop else set().union(*kids)))
-
-
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
@@ -342,7 +337,7 @@ def _evaluator(k: KripkeStructure, semantics: Semantics):
     index = k.index
     succ, preds = index.succ, index.preds
     states = frozenset(range(len(k.states)))
-    dead = frozenset(u for u in states if index.deadlock[u])
+    dead = frozenset(u for u in states if not succ[u])
 
     def inf_globally(sat_s):
         cyc = tarjan_cycle_states(sat_s, succ)

@@ -107,16 +107,16 @@ class StateIndex(Value):
 
     ``number`` maps a state to its id; ``succ[u]`` holds ``u``'s
     ``(action id, target)`` pairs without repeats, in the order they first
-    occurred; ``actions`` lists the actions by id; ``deadlock[u]`` is True
-    iff ``u`` has no successor; ``sources`` lists the source of every step
-    in the order the steps first occurred, so ``steps`` replays them in
-    that order.  ``preds[v]``, the sources of the steps into ``v`` in that
+    occurred, and is empty iff ``u`` is a deadlock; ``actions`` lists the
+    actions by id; ``sources`` lists the source of every step in the
+    order the steps first occurred, so ``steps`` replays them in that
+    order.  ``preds[v]``, the sources of the steps into ``v`` in that
     order, is built on first read.  Id 0 is silent: "tau", or None on a
     Kripke structure, whose every step is silent.  Equal pairs are one
     object, and so are equal ids.  ``_Steps`` builds the index; every
     engine only reads it."""
 
-    __match_args__ = ("number", "succ", "actions", "deadlock", "sources")
+    __match_args__ = ("number", "succ", "actions", "sources")
 
     def steps(self):
         """Every step as ``(source, (action id, target))``, in the order
@@ -218,8 +218,7 @@ class _StateGraph(Value):
         d = self.__dict__
         d["states"] = tuple(steps.number)
         d["index"] = StateIndex(steps.number, steps.succ,
-                                list(steps.action_id),
-                                [not out for out in steps.succ], steps.sources)
+                                list(steps.action_id), steps.sources)
 
     def iter_transitions(self):
         """The transitions one at a time, as ``transitions`` lists them,
@@ -273,9 +272,6 @@ class _LabelledGraph(_StateGraph):
         d["labelling"] = props_of
         d["delta_extended"] = delta_extended
 
-    def label(self, s):
-        return self.labelling[s]
-
 
 class KripkeStructure(_LabelledGraph):
     """Finite state graph with atomic-proposition labels; may be non-total."""
@@ -286,13 +282,6 @@ class KripkeStructure(_LabelledGraph):
         index = self.index
         u = index.number.get(s)
         return [] if u is None else [self.states[v] for (_, v) in index.succ[u]]
-
-    @property
-    def propositions(self):
-        props = set()
-        for ps in self.labelling.values():
-            props |= ps
-        return props
 
 
 class Lts(_StateGraph):
@@ -359,7 +348,7 @@ def path_is_maximal(g, path: Path) -> bool:
         return True
     index = g.index
     u = index.number.get(path.stem[-1])
-    return u is not None and index.deadlock[u]
+    return u is not None and not index.succ[u]
 
 
 class ConsistencyReport(Value):
@@ -607,7 +596,7 @@ def _split_pairs(groups):
 
 def deadlock_states(g) -> set:
     """States with no outgoing transition at all."""
-    return {s for s, dead in zip(g.states, g.index.deadlock) if dead}
+    return {s for s, out in zip(g.states, g.index.succ) if not out}
 
 
 def fresh_name(base: str, taken) -> str:
@@ -623,10 +612,9 @@ def fresh_name(base: str, taken) -> str:
 def disjoint_union_lts(l1: Lts, l2: Lts):
     """Union of two LTSs; clashing right-hand ids get a fresh suffix.
 
-    Returns (lts, map1, map2) where the maps send original ids to ids in
-    the union.
+    Returns (lts, map2): the left ids stay, and ``map2`` sends each
+    right-hand id to its id in the union.
     """
-    map1 = {s: s for s in l1.states}
     taken = set(l1.states)
     map2 = {}
     for s in l2.states:
@@ -636,4 +624,4 @@ def disjoint_union_lts(l1: Lts, l2: Lts):
     states = tuple(l1.states) + tuple(map2[s] for s in l2.states)
     trans = tuple(l1.transitions) + tuple(
         (map2[u], a, map2[v]) for (u, a, v) in l2.transitions)
-    return Lts(states, l1.actions + l2.actions, trans), map1, map2
+    return Lts(states, l1.actions + l2.actions, trans), map2

@@ -30,8 +30,7 @@ def eta_midpoint(l: Lts):
     Original states keep their identity and share one dummy proposition;
     the midpoint of an ``a``-transition is labelled ``{a}`` and the two
     replacement transitions both carry ``a``.  Silent transitions are
-    untouched.  Returns the doubly labelled system and the (identity)
-    injection of original states.
+    untouched.  Returns the doubly labelled system.
     """
     dummy = DUMMY_PROP
     while dummy in l.actions:
@@ -53,9 +52,7 @@ def eta_midpoint(l: Lts):
         labelling[mid] = marks.setdefault(a, frozenset((a,)))
         trans.append((u, a, mid))
         trans.append((mid, a, v))
-    d = DoublyLabelledTS(tuple(states), labelling, tuple(trans))
-    injection = {s: s for s in l.states}
-    return d, injection
+    return DoublyLabelledTS(tuple(states), labelling, tuple(trans))
 
 
 def _action_for(target_label) -> str:
@@ -75,7 +72,7 @@ def ks_to_l2ts(k: KripkeStructure) -> DoublyLabelledTS:
 
 def _deadlocks(k: KripkeStructure) -> list:
     """The deadlock states of ``k``, in declaration order."""
-    return [s for s, dead in zip(k.states, k.index.deadlock) if dead]
+    return [s for s, out in zip(k.states, k.index.succ) if not out]
 
 
 def deadlock_extension(k: KripkeStructure):

@@ -266,7 +266,7 @@ def test_criterion_08_l2ts_agreement():
             if i % 2 == 0:
                 d = ks_to_l2ts(random_ks(rng, max_states=5))
             else:
-                d, _ = eta_midpoint(random_lts(rng, max_states=4))
+                d = eta_midpoint(random_lts(rng, max_states=4))
             from dtk.structures import associated_ks, associated_lts
             ks, lts = associated_ks(d), associated_lts(d)
             groups = {}
@@ -276,7 +276,7 @@ def test_criterion_08_l2ts_agreement():
             for ks_variant, lts_variant in ((DB, DB), (DS, DS)):
                 ks_part = coarsest_partition_ks(ks, ks_variant)
                 lts_part = meet(coarsest_partition_lts(lts, lts_variant),
-                                label_part, d.states)
+                                label_part)
                 assert ks_part == lts_part
 
 

@@ -123,7 +123,7 @@ def test_check_equiv_prints_sorted_members_in_canonical_block_order(
     path.write_text(render_lts(l))
     part = coarsest_partition_lts(l, EquivVariant.EXPLICIT_DIVERGENCE)
     # canonical order: by each block's first state in declaration order
-    blocks = sorted(part.block_sets(), key=lambda b: min(map(l.states.index, b)))
+    blocks = sorted(part.blocks, key=lambda b: min(map(l.states.index, b)))
     expected = [sorted(b) for b in blocks]
     assert len(expected) >= 20 and any(len(b) > 1 for b in expected)
     code, out, _ = run(capsys, "check-equiv", "--model", str(path),
@@ -375,14 +375,20 @@ def test_unwritable_output_exits_2(capsys, stutter_ks, merge_lts, tmp_path,
 @pytest.mark.parametrize("flag, command", [
     ("--json", "transform"), ("--json", "compose"),
     ("--allow-delta", "compose"), ("--allow-delta", "dext"),
-    ("--allow-delta", "eta")])
+    ("--allow-delta", "eta"), ("--allow-delta", "check-equiv"),
+    ("--allow-delta", "traces")])
 def test_a_flag_a_command_ignores_is_a_usage_error(capsys, stutter_ks,
                                                    merge_lts, flag, command):
     # transform and compose write model text, never an envelope, compose
-    # reads only LTSs, and of transform's ops eta reads an LTS and dext
-    # does not extend its own output
+    # reads only LTSs, of transform's ops eta reads an LTS and dext does
+    # not extend its own output, and an LTS has no proposition to allow
     message = f"unrecognized arguments: {flag}"
-    if command == "transform":
+    if command in ("check-equiv", "traces"):
+        rest = (("--variant", "db") if command == "check-equiv"
+                else ("--state", "0"))
+        argv = (command, "--model", merge_lts, "--kind", "lts", *rest)
+        message = f"argument {flag}: not allowed with --kind lts"
+    elif command == "transform":
         argv = ("transform", "--op", "dext", "--model", stutter_ks)
     elif command == "compose":
         argv = ("compose", "--left", f"{merge_lts}:0",
@@ -417,9 +423,10 @@ def test_file_lines_split_as_splitlines(pieces, size):
 
 def _read_outcome(capsys, path, kind):
     """The structure the CLI reads from ``path``, or its error line."""
+    delta = () if kind == "lts" else ("--allow-delta",)
     code, out, err = run(capsys, "check-equiv", "--model", str(path),
                          "--kind", "lts" if kind == "lts" else "ks",
-                         "--variant", "db", "--allow-delta")
+                         "--variant", "db", *delta)
     if code == 2:
         return out, err
     return _load_model(str(path), kind, allow_delta=True)

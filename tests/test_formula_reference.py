@@ -48,7 +48,6 @@ from dtk.logic import (
     Prop,
     Semantics,
     distinguish,
-    formula_propositions,
     parse_formula,
     render_formula,
     sat,
@@ -597,7 +596,6 @@ def test_parser_reads_rendered_text_as_reference_does(phi):
 @given(formula_dags(delta=True))
 def test_walkers_match_reference(phi):
     assert render_formula(phi) == ref_render(phi)
-    assert formula_propositions(phi) == ref_propositions(phi)
     assert sdelta_eval(phi) == ref_sdelta(phi)
     assert encode_E(phi) == ref_encode_E(phi)
     assert _outcome(encode_D, phi) == _outcome(ref_encode_D, phi)

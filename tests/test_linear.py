@@ -28,6 +28,7 @@ from dtk.linear import (
     PUntil,
     P_TRUE,
     TraceVariant,
+    _canonical_lasso,
     coloured_traces,
     complete_traces,
     distinguish_ltl,
@@ -101,6 +102,54 @@ def test_lasso_canonicalisation_deduplicates_unrollings():
     assert len(lassos) == 1
     assert lassos[0].items == ("*",)
     assert lassos[0].cycle == ("x", "*")
+
+
+def _word_prefix(stem, cycle, n):
+    """The first ``n`` letters of ``stem`` followed by ``cycle`` forever."""
+    word = list(stem)
+    while len(word) < n:
+        word.extend(cycle)
+    return tuple(word[:n])
+
+
+def _same_word(a, b):
+    """Two lassos spell one word iff they agree past both stems for a
+    common multiple of both cycle lengths."""
+    (s1, c1), (s2, c2) = a, b
+    n = max(len(s1), len(s2)) + len(c1) * len(c2)
+    return _word_prefix(s1, c1, n) == _word_prefix(s2, c2, n)
+
+
+LASSOS = st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple),
+                   st.lists(st.integers(0, 1), min_size=1,
+                            max_size=5).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LASSOS, LASSOS, st.integers(0, 2), st.integers(0, 4),
+       st.integers(1, 3))
+def test_canonical_lasso_matches_brute_force(lasso, other, unroll, cut,
+                                             repeat):
+    stem, cycle = lasso
+    form = _canonical_lasso(stem, cycle)
+    assert _same_word(form, lasso)
+    # every lasso of the word splits it after some stem of length k into a
+    # cycle of length q; the canonical form has the least k, then the
+    # least q
+    word = _word_prefix(stem, cycle, len(stem) + len(cycle))
+    k, q = min((k, q) for k in range(len(stem) + 1)
+               for q in range(1, len(cycle) + 1)
+               if _same_word((word[:k], word[k:k + q]), lasso))
+    assert form == (word[:k], word[k:k + q])
+    assert not any(len(form[1]) % d == 0
+                   and form[1] == form[1][:d] * (len(form[1]) // d)
+                   for d in range(1, len(form[1])))
+    # an unrolled, rotated and repeated spelling of the word
+    r = cut % len(cycle)
+    rotated = (stem + cycle * unroll + cycle[:r],
+               (cycle[r:] + cycle[:r]) * repeat)
+    assert _canonical_lasso(*rotated) == form
+    assert (_canonical_lasso(*other) == form) == _same_word(other, lasso)
 
 
 def test_ks_traces_use_label_colours():
@@ -213,7 +262,7 @@ def test_trace_equiv_products_differ_at_plain_level():
     dead_prod, dead_root = merge(l, "0", l, "a")
     live_prod, live_root = merge(l, "Delta0", l, "a")
     from dtk.structures import disjoint_union_lts
-    union, _, m2 = disjoint_union_lts(dead_prod, live_prod)
+    union, m2 = disjoint_union_lts(dead_prod, live_prod)
     verdict = trace_equiv(union, dead_root, m2[live_root],
                           TraceVariant.COMPLETE)
     assert not verdict.equal
@@ -542,7 +591,7 @@ def test_divergence_trace_equivalence_preserved_by_merge():
         t = rng.choice(l2.states)
         prod_a, root_a = merge(l2, s, l2, t)
         prod_b, root_b = merge(l2, clone, l2, t)
-        union, _, m2 = disjoint_union_lts(prod_a, prod_b)
+        union, m2 = disjoint_union_lts(prod_a, prod_b)
         verdict = trace_equiv(union, root_a, m2[root_b],
                               TraceVariant.WITH_DIVERGENCE)
         assert verdict.equal
@@ -561,7 +610,7 @@ def test_divergence_trace_coarsest_congruence_probe():
         ctx, root, _ = fresh_action_context(l)
         prod_a, root_a = merge(l, s, ctx, root)
         prod_b, root_b = merge(l, t, ctx, root)
-        union, _, m2 = disjoint_union_lts(prod_a, prod_b)
+        union, m2 = disjoint_union_lts(prod_a, prod_b)
         probed = trace_equiv(union, root_a, m2[root_b], TraceVariant.COMPLETE)
         assert direct.exact and probed.exact
         assert direct.equal == probed.equal

@@ -114,7 +114,6 @@ def test_adjacency_index_agrees_with_transitions(g):
         assert [g.states[u] for u in index.preds[i]] == [
             u for (u, a, v) in steps if v == s]
     sources = {u for (u, _, _) in steps}
-    assert index.deadlock == [s not in sources for s in g.states]
     assert deadlock_states(g) == set(g.states) - sources
     assert g.index is index
 
@@ -179,7 +178,7 @@ def test_lts_partition_matches_its_kripke_translation(l):
     visible step, then the actions forgotten) keeps every variant: the
     translated structure's partition, restricted to the original states,
     is the LTS partition."""
-    k = associated_ks(eta_midpoint(l)[0])
+    k = associated_ks(eta_midpoint(l))
     for variant in EquivVariant:
         assert coarsest_partition_lts(l, variant) == coarsest_partition_ks(
             k, variant).restrict(l.states)

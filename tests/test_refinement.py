@@ -276,8 +276,8 @@ def test_refinement_scales_to_2000_states():
                    rng.choice(states)) for u in states for _ in range(3))
     l = Lts(states, (TAU,), trans)
     db, ds, ed = (coarsest_partition_lts(l, v) for v in (DB, DS, ED))
-    assert meet(ed, ds, states) == ed
-    assert meet(ds, db, states) == ds
+    assert meet(ed, ds) == ed
+    assert meet(ds, db) == ds
     assert db == _fixpoint_refinement(l)
     assert len(db) < len(states)
 

@@ -79,7 +79,7 @@ def _reference(cls, states, steps):
         a = 0 if kripke else actions.setdefault(t[1], len(actions))
         succ[u].append((a, v))
         preds[v].append(u)
-    return order, trans, list(actions), succ, preds, [not o for o in succ]
+    return order, trans, list(actions), succ, preds
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,7 +88,7 @@ def test_index_matches_tuple_reference(case, scan):
     """``scan`` is the step count from which a source checks repeats in
     a set rather than in its list; the small ones reach that branch."""
     cls, states, steps = case
-    order, trans, actions, succ, preds, deadlock = _reference(*case)
+    order, trans, actions, succ, preds = _reference(*case)
     default, structures._Steps._SCAN = structures._Steps._SCAN, scan
     try:
         built = (_build(*case), PARSE[cls](_text(*case)))
@@ -100,7 +100,6 @@ def test_index_matches_tuple_reference(case, scan):
         assert index.actions == actions
         assert index.succ == succ
         assert [sorted(p) for p in index.preds] == [sorted(p) for p in preds]
-        assert index.deadlock == deadlock
         assert len(index.sources) == len(trans)
         assert g.transitions == trans
         if cls is Lts:

@@ -51,9 +51,8 @@ def test_reprs_name_every_field():
         "TraceVerdict(equal=False, exact=True, witness=('s', ()))"
     assert repr(ConsistencyReport(True, ())) == \
         "ConsistencyReport(consistent=True, violations=())"
-    assert repr(StateIndex({}, [], ["tau"], [], [])) == (
-        "StateIndex(number={}, succ=[], actions=['tau'], deadlock=[], "
-        "sources=[])")
+    assert repr(StateIndex({}, [], ["tau"], [])) == (
+        "StateIndex(number={}, succ=[], actions=['tau'], sources=[])")
     assert repr(LtlWitness(PInfinity(), "s", "t")) == \
         "LtlWitness(formula=PInfinity(), holds_from='s', fails_from='t')"
     assert repr(SampleReport(EquivVariant.EXPLICIT_DIVERGENCE, 1, 1, (), 7)) \
