@@ -30,7 +30,7 @@ _HOMES = {
         "deadlock_states", "disjoint_union_lts", "parse_ks", "parse_l2ts",
         "parse_lts", "render_ks", "render_l2ts", "render_lts"),
     "equivalences": (
-        "EquivVariant", "Partition", "check_colouring",
+        "EquivVariant", "Partition", "check_colouring", "coarsest_partition",
         "coarsest_partition_ks", "coarsest_partition_lts",
         "divergent_states", "equivalent", "oracle_coarsest_partition",
         "refinement_history"),

@@ -98,18 +98,14 @@ def _emit(args, command, result, plain_lines):
 
 
 def cmd_check_equiv(args) -> int:
-    kind = args.kind
-    model = _load_model(args.model, kind, allow_delta=args.allow_delta)
+    model = _load_model(args.model, args.kind, allow_delta=args.allow_delta)
     variant = equivalences.EquivVariant(args.variant)
     states = args.state or []
     if len(states) not in (0, 2):
         raise _Failure("--state must be given exactly twice or not at all")
     for s in states:
         model.check_state(s)
-    if kind == "ks":
-        partition = equivalences.coarsest_partition_ks(model, variant)
-    else:
-        partition = equivalences.coarsest_partition_lts(model, variant)
+    partition = equivalences.coarsest_partition(model, variant)
     if args.oracle:
         reference = equivalences.oracle_coarsest_partition(model, variant)
         if reference != partition:

@@ -45,13 +45,11 @@ partition as one that recomputes all states.  A block of one state
 never splits and is never computed.  The result is canonicalised once,
 at the end, into one block id per state: no block holds a member set.
 
-``logic.distinguish`` reads the rounds as they are, one tuple of block
-ids per round.  For a split it makes one ``_block_signatures`` call
-from the two states the split separates, over the round before: the
-pass covers exactly the states they reach by inert steps, all that
-their signatures depend on.
-``refinement_history`` canonicalises every round and computes every
-signature, for tests and tools that read a whole round.
+``refinement_history`` lists the rounds as they are, one tuple of block
+ids per round; ``logic.distinguish`` reads that list.  For a split it
+makes one ``_block_signatures`` call from the two states the split
+separates, over the round before: the pass covers exactly the states
+they reach by inert steps, all that their signatures depend on.
 """
 
 from __future__ import annotations
@@ -146,15 +144,6 @@ def _labels(g):
     if isinstance(g, Lts):
         return None
     raise TypeError(f"unsupported structure {type(g).__name__}")
-
-
-class Signature(Value):
-    """One refinement-round summary of a state: its real observations,
-    and whether it observes ``DIVERGES`` (explicit divergence) or
-    ``COMPLETES`` (divergence sensitivity); None where the variant has
-    no such marker."""
-
-    __match_args__ = ("observations", "divergent", "completable")
 
 
 # marker observations; a real one, ``block * width + action``, is >= 0
@@ -284,57 +273,27 @@ def _rounds(g, variant: EquivVariant):
         yield tuple(block)
 
 
-def refinement_history(g, variant: EquivVariant):
-    """All refinement rounds as (partition, signatures) pairs.
-
-    The first entry is the initial partition with no signatures; each
-    later entry holds the partition a round produced and a dict of every
-    state's ``Signature`` over the previous partition: observations as
-    ``(action, block id)`` pairs, block ids canonical.
-    """
-    actions = g.index.actions
-    width = len(actions)
-    ed = variant is EquivVariant.EXPLICIT_DIVERGENCE
-    ds = variant is EquivVariant.DIVERGENCE_SENSITIVE
-
-    def readable(obs):
-        return Signature(frozenset((actions[c % width], c // width)
-                                   for c in obs if c >= 0),
-                         DIVERGES in obs if ed else None,
-                         COMPLETES in obs if ds else None)
-
-    history = []
-    prev = None
-    for block in _rounds(g, variant):
-        part = _partition(g.states, block)
-        sigs = None
-        if prev is not None:
-            sigs = {g.states[u]: readable(obs)
-                    for records in _block_kernels(g, prev, variant)
-                    for u, obs in records.items()}
-        history.append((part, sigs))
-        prev = part
-    return history
+def refinement_history(g, variant: EquivVariant) -> list:
+    """Every round of ``_rounds`` as a list: the per-state block ids (a
+    tuple, states in declaration order) of the initial partition and of
+    every round that split a block.  Ids are dense but not canonical,
+    and the piece of a split that keeps its block keeps the block's id."""
+    return list(_rounds(g, variant))
 
 
-def _coarsest(g, variant: EquivVariant) -> Partition:
-    """The last partition of the refinement, canonicalised once."""
+def coarsest_partition(g, variant: EquivVariant) -> Partition:
+    """Coarsest partition whose colouring is consistent (all variants),
+    divergence preserving (explicit divergence) or fully consistent
+    (divergence sensitive).  On a Kripke structure a colouring must also
+    respect the labelling, and the refinement starts from the label
+    classes.  The last round is canonicalised once."""
     for block in _rounds(g, variant):
         pass
     return _partition(g.states, block)
 
 
-def coarsest_partition_lts(l: Lts, variant: EquivVariant) -> Partition:
-    """Coarsest partition whose colouring is consistent (all variants),
-    divergence preserving (explicit divergence) or fully consistent
-    (divergence sensitive)."""
-    return _coarsest(l, variant)
-
-
-def coarsest_partition_ks(k: KripkeStructure, variant: EquivVariant) -> Partition:
-    """As for LTSs, but colourings must also respect the labelling; the
-    refinement starts from the label classes."""
-    return _coarsest(k, variant)
+# the names of the structure kinds, which the benchmark's tracer wraps
+coarsest_partition_ks = coarsest_partition_lts = coarsest_partition
 
 
 def _block_kernels(g, p: Partition, variant: EquivVariant):
@@ -411,4 +370,4 @@ def equivalent(g, s, t, variant: EquivVariant) -> bool:
     """Same block of the coarsest partition for the variant."""
     g.check_state(s)
     g.check_state(t)
-    return _coarsest(g, variant).same_block(s, t)
+    return coarsest_partition(g, variant).same_block(s, t)

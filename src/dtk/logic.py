@@ -175,6 +175,11 @@ def _tokenize(text):
     return tokens
 
 
+def _shown(tok):
+    """A token as an error message names it; None ends the input."""
+    return "end of input" if tok is None else repr(tok)
+
+
 class _Group:
     """An open group: the whole text, ``( ... )``, or one side of
     ``E ( ... U ... )``."""
@@ -219,7 +224,7 @@ def parse_formula(text: str):
                 tok, at = next(tokens)
                 if tok != "(":
                     raise FormulaError(
-                        f"expected '(' at position {at}, got {tok!r}")
+                        f"expected '(' at position {at}, got {_shown(tok)}")
                 stack.append(_Group("U"))
             elif tok in _CONSTANTS:
                 phi = _CONSTANTS[tok]
@@ -247,7 +252,8 @@ def parse_formula(text: str):
             if group.closer is None:
                 raise FormulaError(f"trailing input at position {at}: {tok!r}")
             raise FormulaError(
-                f"expected {group.closer!r} at position {at}, got {tok!r}")
+                f"expected {group.closer!r} at position {at}, "
+                f"got {_shown(tok)}")
         stack.pop()
         phi = reduce(lambda a, b: _or(node, a, b),
                      (c[0] if len(c) == 1 else node(And, *c)
@@ -472,7 +478,7 @@ def distinguish(k: KripkeStructure, s, t,
     """
     k.check_state(s)
     k.check_state(t)
-    rounds = list(equivalences._rounds(k, variant))
+    rounds = equivalences.refinement_history(k, variant)
     index = k.index
     # an observation is the integer ``block id * width + action id``
     width = len(index.actions)

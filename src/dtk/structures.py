@@ -278,11 +278,6 @@ class KripkeStructure(_LabelledGraph):
 
     _step_width = 2
 
-    def successors(self, s):
-        index = self.index
-        u = index.number.get(s)
-        return [] if u is None else [self.states[v] for (_, v) in index.succ[u]]
-
 
 class Lts(_StateGraph):
     """Finite state graph with action-labelled transitions; "tau" is silent."""
@@ -294,12 +289,6 @@ class Lts(_StateGraph):
         self._index(states, transitions)
         self.__dict__["actions"] = tuple(dict.fromkeys(
             [TAU, *actions, *self.index.actions]))
-
-    def successors(self, s):
-        index = self.index
-        u = index.number.get(s)
-        return [] if u is None else [(index.actions[a], self.states[v])
-                                     for (a, v) in index.succ[u]]
 
 
 class DoublyLabelledTS(_LabelledGraph):
@@ -526,16 +515,13 @@ def _render(g):
                else f"trans {names[u]} {actions[a]} {names[v]}\n")
 
 
-def render_ks(k: KripkeStructure) -> str:
-    return "".join(_render(k))
+def render_ks(g) -> str:
+    """The text form of any structure, as one string."""
+    return "".join(_render(g))
 
 
-def render_lts(l: Lts) -> str:
-    return "".join(_render(l))
-
-
-def render_l2ts(d: DoublyLabelledTS) -> str:
-    return "".join(_render(d))
+# the names of the structure kinds, which the benchmark's tracer wraps
+render_lts = render_l2ts = render_ks
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +580,9 @@ def _split_pairs(groups):
                         yield (i, j) if i < j else (j, i)
 
 
-def deadlock_states(g) -> set:
-    """States with no outgoing transition at all."""
-    return {s for s, out in zip(g.states, g.index.succ) if not out}
+def deadlock_states(g) -> list:
+    """States with no outgoing transition at all, in declaration order."""
+    return [s for s, out in zip(g.states, g.index.succ) if not out]
 
 
 def fresh_name(base: str, taken) -> str:

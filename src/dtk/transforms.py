@@ -20,6 +20,7 @@ from .structures import (
     Lts,
     StructureError,
     TAU,
+    deadlock_states,
     fresh_name,
 )
 
@@ -70,11 +71,6 @@ def ks_to_l2ts(k: KripkeStructure) -> DoublyLabelledTS:
                             delta_extended=k.delta_extended)
 
 
-def _deadlocks(k: KripkeStructure) -> list:
-    """The deadlock states of ``k``, in declaration order."""
-    return [s for s, out in zip(k.states, k.index.succ) if not out]
-
-
 def deadlock_extension(k: KripkeStructure):
     """Add a fresh sink labelled with the deadlock proposition, looped on
     itself and reachable from every deadlock state.  The result is total
@@ -89,7 +85,7 @@ def deadlock_extension(k: KripkeStructure):
     states = tuple(k.states) + (sink,)
     labelling = dict(k.labelling)
     labelling[sink] = {DELTA_PROP}
-    edges = chain(k.iter_transitions(), ((d, sink) for d in _deadlocks(k)),
+    edges = chain(k.iter_transitions(), ((d, sink) for d in deadlock_states(k)),
                   [(sink, sink)])
     return (KripkeStructure(states, labelling, edges,
                             delta_extended=True), sink)
@@ -98,7 +94,7 @@ def deadlock_extension(k: KripkeStructure):
 def totalize_deadlock_selfloops(k: KripkeStructure) -> KripkeStructure:
     """Add a self-loop to every deadlock state.  Maximal-path validity of
     infinity-free formulas is unchanged."""
-    edges = chain(k.iter_transitions(), ((d, d) for d in _deadlocks(k)))
+    edges = chain(k.iter_transitions(), ((d, d) for d in deadlock_states(k)))
     return KripkeStructure(k.states, dict(k.labelling), edges,
                            delta_extended=k.delta_extended)
 

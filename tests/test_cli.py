@@ -158,6 +158,17 @@ def test_model_check_bad_formula_exits_2(capsys, stutter_ks):
     assert err.strip() == "error: unexpected ')' at position 0"
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("E (p U q", "expected ')' at position 8, got end of input"),
+    ("E", "expected '(' at position 1, got end of input")])
+def test_a_formula_cut_short_names_the_end_of_input(capsys, stutter_ks,
+                                                    formula, message):
+    code, out, err = run(capsys, "model-check", "--model", stutter_ks,
+                         "--formula", formula)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_distinguish_pipeline_into_model_check(capsys, stutter_ks):
     code, out, _ = run(capsys, "distinguish", "--model", stutter_ks,
                        "--variant", "ds", "--state-a", "t", "--state-b", "u")

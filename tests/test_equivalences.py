@@ -11,6 +11,7 @@ from dtk.equivalences import (
     DIVERGES,
     EquivVariant,
     _block_signatures,
+    _partition,
     _set_partitions,
     Partition,
     check_colouring,
@@ -276,10 +277,14 @@ def test_equivalence_laws_by_sampling():
 def test_history_starts_trivial_and_refines():
     l = figures.branching_example_lts()
     history = refinement_history(l, ED)
-    first, _ = history[0]
-    assert len(first) == 1
-    sizes = [len(p) for (p, _) in history]
-    assert sizes == sorted(sizes)
+    assert set(history[0]) == {0}
+    for before, after in zip(history, history[1:]):
+        # each round splits a block and refines the one before; the ids
+        # stay dense, and a split block's id stays with one of its pieces
+        assert len(set(after)) > len(set(before))
+        assert len(set(zip(after, before))) == len(set(after))
+        assert set(after) == set(range(len(set(after)))) >= set(before)
+    assert _partition(l.states, history[-1]) == coarsest_partition_lts(l, ED)
 
 
 def test_meet_and_join_are_lattice_bounds():

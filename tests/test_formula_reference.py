@@ -9,11 +9,12 @@ copies, and on generated Kripke structures, the two must agree.  The
 one intended difference: the reference reads ``)``, ``&`` and ``|`` in
 operand position as proposition names, and the parser now rejects them.
 
-``ref_distinguish`` is the distinguishing-formula construction as it
-read ``refinement_history``: a canonical partition and every state's
-signature per round.  ``distinguish`` reads the integer rounds and
-computes a signature only where a split needs one; its formulas must be
-the same.
+``ref_distinguish`` is the distinguishing-formula construction on the
+reference refinement of ``tests_helpers.reference_history``: a canonical
+partition and every state's breadth-first signature per round, with no
+part of the engine.  ``distinguish`` reads the integer rounds of
+``refinement_history`` and computes a signature only where a split needs
+one; its formulas must be the same.
 
 ``ref_enumerate_formulas`` is the enumeration as a loop driven by
 ``push``/``more`` flags; the generator that replaced it must return the
@@ -33,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtk import equivalences
-from dtk.equivalences import EquivVariant, refinement_history
+from dtk.equivalences import EquivVariant
 from dtk.logic import (
     _KEYWORDS,
     enumerate_formulas,
@@ -57,7 +58,7 @@ from dtk.logic import (
 from dtk.graphs import backward_reach, tarjan_cycle_states
 from dtk.structures import DELTA_PROP, KripkeStructure
 from dtk.transforms import deadlock_extension, encode_D, encode_E
-from tests_helpers import name_keyed_steps
+from tests_helpers import name_keyed_steps, reference_history
 
 MAX = Semantics.MAXIMAL_PATH
 ED = EquivVariant.EXPLICIT_DIVERGENCE
@@ -108,7 +109,8 @@ class _Parser:
     def expect(self, want):
         tok, at = self.next()
         if tok != want:
-            raise FormulaError(f"expected {want!r} at position {at}, got {tok!r}")
+            got = "end of input" if tok is None else repr(tok)
+            raise FormulaError(f"expected {want!r} at position {at}, got {got}")
 
     def fail(self, message):
         _, at = self.tokens[self.pos]
@@ -350,12 +352,12 @@ def ref_encode_E(phi):
 
 
 def ref_distinguish(k, s, t, variant):
-    """The construction as it read ``refinement_history``: a canonical
-    ``Partition`` per round and every state's ``Signature`` over the
-    round before."""
+    """The construction on the reference rounds: a canonical
+    ``Partition`` per round and every state's signature over the round
+    before."""
     k.check_state(s)
     k.check_state(t)
-    history = refinement_history(k, variant)
+    history = reference_history(k, variant)
     final, _ = history[-1]
     if final.same_block(s, t):
         return None
@@ -404,25 +406,23 @@ def ref_distinguish(k, s, t, variant):
 
     def split_formula(u, w, level):
         sigs = history[level][1]
-        su, sw = sigs[u], sigs[w]
-        extra = sorted(su.observations - sw.observations,
-                       key=lambda o: (str(o[0]), o[1]))
+        (obs_u, div_u, comp_u), (obs_w, div_w, comp_w) = sigs[u], sigs[w]
+        extra = sorted(obs_u - obs_w, key=lambda o: (str(o[0]), o[1]))
         if extra:
             _, bid = extra[0]
             return ExistsUntil((yield u, level - 1),
                                (yield rep(level - 1, bid), level - 1))
-        missing = sorted(sw.observations - su.observations,
-                         key=lambda o: (str(o[0]), o[1]))
+        missing = sorted(obs_w - obs_u, key=lambda o: (str(o[0]), o[1]))
         if missing:
             _, bid = missing[0]
             return Not(ExistsUntil((yield w, level - 1),
                                    (yield rep(level - 1, bid), level - 1)))
-        if su.divergent != sw.divergent:
-            if su.divergent:
+        if div_u != div_w:
+            if div_u:
                 return ExistsGInf((yield u, level - 1))
             return Not(ExistsGInf((yield w, level - 1)))
-        if su.completable != sw.completable:
-            if su.completable:
+        if comp_u != comp_w:
+            if comp_u:
                 return ExistsG((yield u, level - 1))
             return Not(ExistsG((yield w, level - 1)))
         raise AssertionError("states split without a signature difference")
@@ -643,10 +643,10 @@ def test_distinguish_builds_no_partition_per_round(monkeypatch):
     want = repr(ref_distinguish(k, "c0", "c2", ED))
 
     def refuse(*args):
-        raise AssertionError("a canonical partition was built")
+        raise AssertionError("a canonical partition or whole round was built")
 
     monkeypatch.setattr(equivalences, "_partition", refuse)
-    monkeypatch.setattr(equivalences, "refinement_history", refuse)
+    monkeypatch.setattr(equivalences, "_block_kernels", refuse)
     assert repr(distinguish(k, "c0", "c2", ED)) == want
 
 

@@ -114,19 +114,8 @@ def test_adjacency_index_agrees_with_transitions(g):
         assert [g.states[u] for u in index.preds[i]] == [
             u for (u, a, v) in steps if v == s]
     sources = {u for (u, _, _) in steps}
-    assert deadlock_states(g) == set(g.states) - sources
+    assert set(deadlock_states(g)) == set(g.states) - sources
     assert g.index is index
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(structures("ks"), structures("lts")))
-def test_successors_read_the_index(g):
-    for s in g.states:
-        if isinstance(g, KripkeStructure):
-            assert g.successors(s) == [v for (u, v) in g.transitions if u == s]
-        else:
-            assert g.successors(s) == [
-                (a, v) for (u, a, v) in g.transitions if u == s]
 
 
 # names the tokenizer reads as one word, keywords excluded; some look

@@ -1,14 +1,16 @@
-"""The refinement engine against direct references kept here.
+"""The refinement engine against direct references.
 
-``_bfs_signatures`` computes each state's signature the naive way, with
-one breadth-first search of its inert closure per state; every round of
-``refinement_history`` must match it field for field, and so must
-``check_colouring`` and ``divergent_states`` on arbitrary colourings.
-A round of the engine recomputes only the blocks a split may have
-touched, so each of its rounds must also equal a round that recomputes
-every state.  The scale test refines a 2000-state LTS and compares the divergence-blind
-result with a refinement whose observation sets are a plain least
-fixpoint.
+``tests_helpers.bfs_signatures`` computes each state's signature the
+naive way, with one breadth-first search of its inert closure per
+state, and ``reference_history`` refines with it, recomputing every
+state in every round.  Every round of ``refinement_history`` must match
+that history, and each round's kernel sets must decode to its
+signatures; so must ``check_colouring`` and ``divergent_states`` on
+arbitrary colourings.  A round of the engine recomputes only the blocks
+a split may have touched, so each of its rounds must also equal a round
+that recomputes every state.  The scale test refines a 2000-state LTS
+and compares the divergence-blind result with a refinement whose
+observation sets are a plain least fixpoint.
 """
 
 import random
@@ -19,13 +21,14 @@ from hypothesis import strategies as st
 
 from dtk.compose import merge
 from dtk.equivalences import (
+    COMPLETES,
+    DIVERGES,
     EquivVariant,
     Partition,
+    _block_kernels,
     _partition,
-    _rounds,
     check_colouring,
-    coarsest_partition_ks,
-    coarsest_partition_lts,
+    coarsest_partition,
     divergent_states,
     equivalent,
     meet,
@@ -34,76 +37,11 @@ from dtk.equivalences import (
 from dtk.linear import complete_traces
 from dtk.logic import Semantics, distinguish, parse_formula, sat
 from dtk.structures import KripkeStructure, Lts, TAU
+from tests_helpers import bfs_signatures, reference_history
 
 DB = EquivVariant.DIVERGENCE_BLIND
 DS = EquivVariant.DIVERGENCE_SENSITIVE
 ED = EquivVariant.EXPLICIT_DIVERGENCE
-
-SILENT = (None, TAU)
-
-
-def _steps(g):
-    """Per-state ``(action, target)`` lists built from the transitions."""
-    succ = {s: [] for s in g.states}
-    for t in g.transitions:
-        (u, a, v) = (t[0], None, t[1]) if len(t) == 2 else t
-        succ[u].append((a, v))
-    return succ
-
-
-def _bfs_signatures(g, part, variant):
-    """Per-state (observations, divergent, completable), one BFS each."""
-    succ = _steps(g)
-    block_of = part.block_of
-
-    def inert(u):
-        return [v for (a, v) in succ[u]
-                if a in SILENT and block_of[v] == block_of[u]]
-
-    def closure(s):
-        seen, frontier = {s}, [s]
-        while frontier:
-            for v in inert(frontier.pop()):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
-    out = {}
-    for s in g.states:
-        reach = closure(s)
-        obs = {(a, block_of[v]) for u in reach for (a, v) in succ[u]
-               if not (a in SILENT and block_of[v] == block_of[u])}
-        on_cycle = any(u in closure(w) for u in reach for w in inert(u))
-        completable = on_cycle or any(not succ[u] for u in reach)
-        out[s] = (frozenset(obs),
-                  on_cycle if variant is ED else None,
-                  completable if variant is DS else None)
-    return out
-
-
-def _initial(g):
-    if isinstance(g, KripkeStructure):
-        groups = {}
-        for s in g.states:
-            groups.setdefault(g.labelling[s], []).append(s)
-        return Partition.from_blocks(groups.values(), g.states)
-    return Partition.from_blocks([g.states], g.states)
-
-
-def _reference_history(g, variant):
-    part = _initial(g)
-    history = [(part, None)]
-    while True:
-        sigs = _bfs_signatures(g, part, variant)
-        groups = {}
-        for s in g.states:
-            groups.setdefault((part.block_of[s], sigs[s]), []).append(s)
-        new = Partition.from_blocks(groups.values(), g.states)
-        if len(new) == len(part):
-            return history
-        history.append((new, sigs))
-        part = new
 
 
 @st.composite
@@ -130,23 +68,36 @@ def inert_graphs(draw, kind):
                            tuple((u, v) for (u, _, v) in transitions))
 
 
+def _decoded_signatures(g, part, variant):
+    """Every state's kernel set over ``part``, decoded into the shape of
+    ``bfs_signatures``."""
+    actions = g.index.actions
+    width = len(actions)
+    return {g.states[u]: (frozenset((actions[c % width], c // width)
+                                    for c in obs if c >= 0),
+                          DIVERGES in obs if variant is ED else None,
+                          COMPLETES in obs if variant is DS else None)
+            for records in _block_kernels(g, part, variant)
+            for u, obs in records.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(inert_graphs("lts"), inert_graphs("ks")),
        st.sampled_from(list(EquivVariant)))
 def test_every_round_matches_per_state_bfs(g, variant):
-    history = refinement_history(g, variant)
-    expected = _reference_history(g, variant)
-    assert [p for (p, _) in history] == [p for (p, _) in expected]
-    for (_, sigs), (_, ref) in zip(history[1:], expected[1:]):
-        assert {s: (x.observations, x.divergent, x.completable)
-                for s, x in sigs.items()} == ref
+    rounds = [_partition(g.states, block)
+              for block in refinement_history(g, variant)]
+    expected = reference_history(g, variant)
+    assert rounds == [p for (p, _) in expected]
+    for before, (_, ref) in zip(rounds, expected[1:]):
+        assert _decoded_signatures(g, before, variant) == ref
 
 
 @settings(max_examples=40, deadline=None)
 @given(inert_graphs("lts"))
 def test_divergent_states_match_per_state_bfs(l):
-    p = refinement_history(l, DB)[-1][0]
-    ref = _bfs_signatures(l, p, ED)
+    p = coarsest_partition(l, DB)
+    ref = bfs_signatures(l, p, ED)
     assert divergent_states(l, p) == {s for s in l.states if ref[s][1]}
 
 
@@ -162,18 +113,16 @@ def test_arbitrary_colourings_match_per_state_bfs(g, data):
     k = data.draw(st.integers(1, 4))
     drawn = _partition(g.states, data.draw(
         st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    coarsest = (coarsest_partition_ks if isinstance(g, KripkeStructure)
-                else coarsest_partition_lts)
-    for p in (drawn, coarsest(g, DB)):
+    for p in (drawn, coarsest_partition(g, DB)):
         labelled = (not isinstance(g, KripkeStructure)
                     or len({(p.block_of[s], g.labelling[s])
                             for s in g.states}) == len(p))
         for variant in EquivVariant:
-            ref = _bfs_signatures(g, p, variant)
+            ref = bfs_signatures(g, p, variant)
             uniform = len({(p.block_of[s], ref[s])
                            for s in g.states}) == len(p)
             assert check_colouring(g, p, variant) == (labelled and uniform)
-        ref = _bfs_signatures(g, p, ED)
+        ref = bfs_signatures(g, p, ED)
         assert divergent_states(g, p) == {s for s in g.states if ref[s][1]}
 
 
@@ -218,11 +167,10 @@ def late_split_graphs(draw, kind):
 @given(st.one_of(late_split_graphs("lts"), late_split_graphs("ks")),
        st.sampled_from(list(EquivVariant)))
 def test_marked_rounds_match_full_rounds(g, variant):
-    rounds = [_partition(g.states, block) for block in _rounds(g, variant)]
-    assert rounds == [p for (p, _) in _reference_history(g, variant)]
-    coarsest = (coarsest_partition_ks if isinstance(g, KripkeStructure)
-                else coarsest_partition_lts)
-    assert coarsest(g, variant) == rounds[-1]
+    rounds = [_partition(g.states, block)
+              for block in refinement_history(g, variant)]
+    assert rounds == [p for (p, _) in reference_history(g, variant)]
+    assert coarsest_partition(g, variant) == rounds[-1]
 
 
 def _fixpoint_refinement(l):
@@ -275,7 +223,7 @@ def test_refinement_scales_to_2000_states():
     trans = tuple((u, TAU if rng.random() < 0.5 else rng.choice("ab"),
                    rng.choice(states)) for u in states for _ in range(3))
     l = Lts(states, (TAU,), trans)
-    db, ds, ed = (coarsest_partition_lts(l, v) for v in (DB, DS, ED))
+    db, ds, ed = (coarsest_partition(l, v) for v in (DB, DS, ED))
     assert meet(ed, ds) == ed
     assert meet(ds, db) == ds
     assert db == _fixpoint_refinement(l)
@@ -294,10 +242,8 @@ BOTH = (Lts, KripkeStructure)
 
 
 @pytest.mark.parametrize("use, kinds", [
-    (lambda g: (coarsest_partition_lts if isinstance(g, Lts)
-                else coarsest_partition_ks)(g, ED), BOTH),
-    (lambda g: [sigs["a"] for (_, sigs) in refinement_history(g, DS)[1:]],
-     BOTH),
+    (lambda g: coarsest_partition(g, ED), BOTH),
+    (lambda g: refinement_history(g, DS), BOTH),
     (lambda g: check_colouring(g, _partition(g.states, [0, 0, 1]), DS), BOTH),
     (lambda g: divergent_states(g, _partition(g.states, [0, 0, 1])), BOTH),
     (lambda g: equivalent(g, "a", "b", DB), BOTH),

@@ -21,6 +21,7 @@ from dtk.structures import (
     parse_l2ts,
     parse_lts,
 )
+from tests_helpers import name_keyed_steps
 
 IDS = ("a", "b", "s0", "x.y", "Z9")
 ACTIONS = (TAU, "a", "b", "go.1")
@@ -135,6 +136,7 @@ def _reference_merge(l1, s, l2, t):
     moves then right moves, a product state per name."""
     names = {(s, t): f"{s}|{t}"}
     states, trans, queue = [names[(s, t)]], [], deque([(s, t)])
+    (succ1, _), (succ2, _) = name_keyed_steps(l1), name_keyed_steps(l2)
 
     def reach(pair):
         if pair not in names:
@@ -145,9 +147,9 @@ def _reference_merge(l1, s, l2, t):
 
     while queue:
         (p, q) = pair = queue.popleft()
-        for (a, p2) in l1.successors(p):
+        for (a, p2) in succ1[p]:
             trans.append((names[pair], a, reach((p2, q))))
-        for (a, q2) in l2.successors(q):
+        for (a, q2) in succ2[q]:
             trans.append((names[pair], a, reach((p, q2))))
     return Lts(states, l1.actions + l2.actions, trans)
 

@@ -164,7 +164,7 @@ def test_deadlock_extension_makes_total():
     for _ in range(100):
         k = random_ks(rng, max_states=6)
         d, _ = deadlock_extension(k)
-        assert deadlock_states(d) == set()
+        assert set(deadlock_states(d)) == set()
 
 
 def test_deadlock_extension_rejects_flagged_input():

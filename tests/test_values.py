@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from dtk.compose import CounterexampleReport, ProbeReport, SampleReport
-from dtk.equivalences import EquivVariant, Partition, Signature
+from dtk.equivalences import EquivVariant, Partition
 from dtk.linear import (
     ColouredTrace, LtlWitness, PAnd, PInfinity, PNot, PProp, PUntil,
     TraceVerdict)
@@ -43,8 +43,6 @@ def test_reprs_name_every_field():
     assert repr(Path("lasso", ["a"], ["b"])) == \
         "Path(kind='lasso', stem=('a',), cycle=('b',))"
     assert repr(Partition({"a": 0})) == "Partition(block_of={'a': 0})"
-    assert repr(Signature(frozenset(), None, True)) == \
-        "Signature(observations=frozenset(), divergent=None, completable=True)"
     assert repr(ColouredTrace(["*"], "deadlock")) == \
         "ColouredTrace(items=('*',), end='deadlock', cycle=())"
     assert repr(TraceVerdict(False, True, ("s", ()))) == \
@@ -132,8 +130,6 @@ def test_keyword_construction_and_defaults():
     assert ColouredTrace(items=["*"], end="prefix").cycle == ()
     with pytest.raises(ValueError, match="bad end marker"):
         ColouredTrace(("*",), "nowhere")
-    assert Signature(observations=frozenset(), divergent=True,
-                     completable=None).divergent
 
 
 
@@ -164,4 +160,4 @@ def test_copies_are_equal_values():
     assert k.index is k.index       # built once, with the structure
     twin = copy.deepcopy(k)
     assert twin.index.succ == [[(0, 1)], []]
-    assert twin.successors("a") == ["b"]
+    assert twin.transitions == (("a", "b"),)

@@ -2,8 +2,7 @@
 
 from hypothesis import strategies as st
 
-from dtk.equivalences import (
-    EquivVariant, coarsest_partition_ks, coarsest_partition_lts)
+from dtk.equivalences import EquivVariant, Partition, coarsest_partition
 from dtk.linear import (
     DEADLOCK, DIVERGENCE, LASSO, OPEN, ColouredTrace, PAnd, PInfinity, PNot,
     PProp, PUntil, _canonical_lasso, _colouring_fn, _flatten)
@@ -97,11 +96,72 @@ def name_keyed_steps(g):
 def every_colouring(g):
     """The trivial colouring, the labelling of a Kripke structure, and
     the coarsest partition of every variant."""
-    if isinstance(g, Lts):
-        return ["trivial"] + [coarsest_partition_lts(g, v)
-                              for v in EquivVariant]
-    return ["trivial", "labelling"] + [coarsest_partition_ks(g, v)
-                                       for v in EquivVariant]
+    first = ["trivial"] if isinstance(g, Lts) else ["trivial", "labelling"]
+    return first + [coarsest_partition(g, v) for v in EquivVariant]
+
+
+def bfs_signatures(g, part, variant):
+    """Reference signatures over the colouring ``part``, one breadth-first
+    search of its inert closure per state: per state name the set of
+    ``(action, block id)`` observations (action None on a Kripke
+    structure), whether it is divergent (explicit divergence only, else
+    None) and whether it is completable (divergence sensitivity only,
+    else None)."""
+    succ, _ = name_keyed_steps(g)
+    block_of = part.block_of
+
+    def inert(u):
+        return [v for (a, v) in succ[u]
+                if a in (None, TAU) and block_of[v] == block_of[u]]
+
+    def closure(s):
+        seen, frontier = {s}, [s]
+        while frontier:
+            for v in inert(frontier.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    out = {}
+    for s in g.states:
+        reach = closure(s)
+        obs = {(a, block_of[v]) for u in reach for (a, v) in succ[u]
+               if not (a in (None, TAU) and block_of[v] == block_of[u])}
+        on_cycle = any(u in closure(w) for u in reach for w in inert(u))
+        completable = on_cycle or any(not succ[u] for u in reach)
+        out[s] = (frozenset(obs),
+                  on_cycle if variant is EquivVariant.EXPLICIT_DIVERGENCE
+                  else None,
+                  completable if variant is EquivVariant.DIVERGENCE_SENSITIVE
+                  else None)
+    return out
+
+
+def reference_history(g, variant):
+    """Reference refinement rounds, each recomputing every state's
+    ``bfs_signatures``: ``(partition, signatures)`` pairs, the first the
+    label classes (one block on an LTS) with signatures None, each later
+    one a round that split a block, with the signatures over the
+    partition before it.  Partitions are canonical."""
+    if isinstance(g, KripkeStructure):
+        groups = {}
+        for s in g.states:
+            groups.setdefault(g.labelling[s], []).append(s)
+        part = Partition.from_blocks(groups.values(), g.states)
+    else:
+        part = Partition.from_blocks([g.states], g.states)
+    history = [(part, None)]
+    while True:
+        sigs = bfs_signatures(g, part, variant)
+        groups = {}
+        for s in g.states:
+            groups.setdefault((part.block_of[s], sigs[s]), []).append(s)
+        new = Partition.from_blocks(groups.values(), g.states)
+        if len(new) == len(part):
+            return history
+        history.append((new, sigs))
+        part = new
 
 
 def path_search_traces(g, s, colouring, bound):
