@@ -146,9 +146,12 @@ def cmd_distinguish(args) -> int:
     if phi is None:
         _emit(args, "distinguish", {"verdict": "equivalent"}, ["equivalent"])
         return 0
-    text = logic.render_formula(phi)
-    _emit(args, "distinguish", {"verdict": "distinguished", "formula": text},
-          [text])
+    if args.json:
+        text = logic.render_formula(phi)
+        _emit(args, "distinguish",
+              {"verdict": "distinguished", "formula": text}, ())
+    else:   # plain text streams the formula, which may be long
+        _write_stdout(chain(logic.formula_pieces(phi), ("\n",)))
     return 1
 
 

@@ -19,6 +19,12 @@ subformula, shared or an equal copy, with the values of its children.
 ``linear`` folds its path formulas with the same walk and its own
 children function.  The parser is one loop over the tokens, so no
 formula is too deep for either.
+
+Model checking labels bottom-up: each distinct subformula gets its set
+of satisfying states as a bitset, one int whose bit ``u`` stands for
+state id ``u``, so the boolean operators are int operations and a held
+set costs n/8 bytes.  Rendering yields the text in pieces; a shared
+subformula's text is joined once, and a writer can stream the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
@@ -286,14 +292,13 @@ def _render(f, kids):
     return ("EG " if type(f) is ExistsG else "EGinf ", body)
 
 
-def _flatten(rope) -> str:
-    """The text of a rope.  A rope met more than once is joined once and
-    its text reused, as the shared subformula it renders; any other is
-    expanded into its parent's pieces, so no text is copied into every
-    ancestor's.  One walk lists the ropes, each after the ropes inside
-    it, and counts each rope's uses."""
-    if type(rope) is str:
-        return rope
+def _flatten(rope):
+    """The text of a rope, as a stream of pieces.  A rope met more than
+    once is joined once and its text reused, as the shared subformula it
+    renders; any other is expanded in place, so no text is copied into
+    every ancestor's, and the whole text is never joined.  One walk lists
+    the ropes, each after the ropes inside it, and counts each rope's
+    uses."""
     uses = {}   # id of a rope -> how often the distinct ropes hold it
     order, seen, stack = [], set(), [(rope, False)]
     while stack:
@@ -309,45 +314,72 @@ def _flatten(rope) -> str:
                     stack.append((part, False))
     texts = {}   # id of a shared rope -> its text
 
-    def join(r):
-        pieces, todo = [], list(reversed(r))
+    def pieces(r):
+        todo = list(reversed(r))
         while todo:
             part = todo.pop()
             if type(part) is str:
-                pieces.append(part)
+                yield part
             elif id(part) in texts:
-                pieces.append(texts[id(part)])
+                yield texts[id(part)]
             else:
                 todo.extend(reversed(part))
-        return "".join(pieces)
 
     for r in order:
         if uses.get(id(r), 0) > 1:
-            texts[id(r)] = join(r)
-    return join(rope)
+            texts[id(r)] = "".join(pieces(r))
+    yield from pieces(rope)
+
+
+def formula_pieces(phi):
+    """The text of ``render_formula`` as a stream of pieces, so a writer
+    need not hold it whole."""
+    return _flatten(_fold(phi, _render))
 
 
 def render_formula(phi) -> str:
     """Deterministic text form; re-parses to the same tree for sugar-free
-    formulas.  A shared subformula is rendered once and its text reused."""
-    return _flatten(_fold(phi, _render))
+    formulas.  A shared subformula is rendered once and its text reused;
+    the rest is joined from ``formula_pieces``."""
+    return "".join(formula_pieces(phi))
 
 
 # ---------------------------------------------------------------------------
 # Model checking
 # ---------------------------------------------------------------------------
 
-def _evaluator(k: KripkeStructure, semantics: Semantics):
-    """The ``visit`` that computes satisfaction sets on ``k``, as sets of
-    the state ids of its index."""
-    index = k.index
-    succ, preds = index.succ, index.preds
-    states = frozenset(range(len(k.states)))
-    dead = frozenset(u for u in states if not succ[u])
+_FLAG = bytes.maketrans(b"01", b"\0\1")    # binary digits -> flag bytes
 
-    def inf_globally(sat_s):
-        cyc = tarjan_cycle_states(sat_s, succ)
-        return frozenset(backward_reach(cyc, preds, sat_s))
+
+def _flags(mask, n):
+    """One byte per state id ``u``, in id order: 1 iff bit ``u`` of
+    ``mask`` is set."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_FLAG)
+
+
+def _evaluator(k: KripkeStructure, semantics: Semantics):
+    """The ``visit`` that computes satisfaction sets on ``k`` as bitsets:
+    one int per subformula, whose bit ``u`` is set iff state id ``u`` of
+    the index satisfies it, so a held value costs n/8 bytes.  A fixpoint
+    reads its arguments' members as a set made for the call, and the
+    predecessor lists are first read by a fixpoint."""
+    index, n = k.index, len(k.states)
+    everywhere = (1 << n) - 1
+
+    def members(bits):
+        return set(compress(range(n), _flags(bits, n)))
+
+    def mask(ids):
+        digits = bytearray(b"0") * n
+        for u in ids:
+            digits[~u] = 49     # the digit "1" of bit u
+        return int(digits or b"0", 2)   # 0 states: no digits
+
+    def reach(targets, inside):
+        return backward_reach(targets, index.preds, inside)
+
+    def inf_globally(inside):
+        return reach(tarjan_cycle_states(inside, index.succ), inside)
 
     def visit(f, kids):
         match f:
@@ -355,21 +387,22 @@ def _evaluator(k: KripkeStructure, semantics: Semantics):
                 if name == DELTA_PROP and not k.delta_extended:
                     raise FormulaError(f"proposition {DELTA_PROP!r} only "
                                        f"applies to deadlock extensions")
-                return frozenset(u for u, s in enumerate(k.states)
-                                 if name in k.labelling[s])
+                return mask(u for u, s in enumerate(k.states)
+                            if name in k.labelling[s])
             case Not():
-                return states - kids[0]
+                return everywhere ^ kids[0]
             case And():
-                return states.intersection(*kids)
+                return reduce(int.__and__, kids, everywhere)
             case ExistsUntil():
-                return frozenset(backward_reach(kids[1], preds, kids[0]))
-            case ExistsGInf():
-                return inf_globally(kids[0])
-        # EG: an infinite witness, or a finite one that ends in a deadlock
-        if semantics is Semantics.DIVERGENCE_BLIND:
-            return kids[0]
-        dead_part = backward_reach(dead & kids[0], preds, kids[0])
-        return frozenset(inf_globally(kids[0]) | dead_part)
+                return mask(reach(members(kids[1]), members(kids[0])))
+            case ExistsG() if semantics is Semantics.DIVERGENCE_BLIND:
+                return kids[0]
+        # an infinite witness; for EG also a finite one ending in a deadlock
+        inside = members(kids[0])
+        found = inf_globally(inside)
+        if type(f) is ExistsG:
+            found |= reach([u for u in inside if not index.succ[u]], inside)
+        return mask(found)
 
     return visit
 
@@ -385,10 +418,10 @@ def sat(k: KripkeStructure, phi, semantics: Semantics) -> frozenset:
 
 def sat_many(k: KripkeStructure, formulas, semantics: Semantics) -> list:
     """Satisfaction sets for many formulas, sharing subformula results;
-    the fixpoints run on state ids, named only here."""
-    visit, memo = _evaluator(k, semantics), {}
-    name = k.states.__getitem__
-    return [frozenset(map(name, _fold(phi, visit, memo))) for phi in formulas]
+    the fixpoints run on bitsets of state ids, named only here."""
+    visit, memo, n = _evaluator(k, semantics), {}, len(k.states)
+    return [frozenset(compress(k.states, _flags(_fold(phi, visit, memo), n)))
+            for phi in formulas]
 
 
 def check(k: KripkeStructure, state, phi, semantics: Semantics) -> bool:

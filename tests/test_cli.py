@@ -15,6 +15,7 @@ from dtk.cli import _file_lines, _load_model, main
 from dtk.equivalences import EquivVariant, coarsest_partition_lts
 from dtk.generators import random_lts
 from dtk.structures import (
+    KripkeStructure,
     parse_ks,
     parse_l2ts,
     parse_lts,
@@ -180,6 +181,36 @@ def test_distinguish_pipeline_into_model_check(capsys, stutter_ks):
     code, out, _ = run(capsys, "model-check", "--model", stutter_ks,
                        "--formula", formula, "--state", "u")
     assert code == 1
+
+
+def test_distinguish_streams_the_rendered_formula(capsys, tmp_path):
+    # the alternating chain's formula doubles in length every round
+    n = 16
+    states = tuple(f"c{i}" for i in range(n))
+    k = KripkeStructure(
+        states, {s: {"pq"[i % 2]} for i, s in enumerate(states)},
+        tuple(zip(states, states[1:])))
+    text = logic.render_formula(
+        logic.distinguish(k, "c0", "c2", EquivVariant.EXPLICIT_DIVERGENCE))
+    assert len(text) > 100_000
+    path = tmp_path / "chain.ks"
+    path.write_text(render_ks(k))
+    argv = ("distinguish", "--model", str(path), "--variant", "ed",
+            "--state-a", "c0", "--state-b", "c2")
+    assert run(capsys, *argv) == (1, text + "\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"] == {"verdict": "distinguished",
+                                         "formula": text}
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"])
+def test_model_check_of_a_model_without_states(capsys, tmp_path, content):
+    path = tmp_path / "empty.ks"
+    path.write_text(content)
+    for formula in ("true", "EG p", "EGinf ~p", "E (p U q)"):
+        assert run(capsys, "model-check", "--model", str(path),
+                   "--formula", formula) == (0, "\n", "")
 
 
 def test_distinguish_equivalent_pair(capsys, stutter_ks):

@@ -6,6 +6,9 @@ restating every node kind.  They recurse once per nesting level, so
 they only see small formulas here.  On generated token strings, on
 generated formulas whose subformulas are shared or repeated as equal
 copies, and on generated Kripke structures, the two must agree.  The
+satisfaction sets are also compared on structures of no states and of
+more states than one machine word has bits, since the evaluator holds
+them as bitsets.  The
 one intended difference: the reference reads ``)``, ``&`` and ``|`` in
 operand position as proposition names, and the parser now rejects them.
 
@@ -552,6 +555,21 @@ def kripke_structures(draw, props=("p", "q"), max_states=5):
                            tuple(draw(st.lists(edge, max_size=8, unique=True))))
 
 
+@st.composite
+def wide_kripke_structures(draw, props=("p", "q")):
+    """No states, or 65 to 300: more bits than one machine word holds.
+    Each state steps to at most two random states, so deadlocks, self
+    loops and large cycles all occur."""
+    n = draw(st.sampled_from([0]) | st.integers(65, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    states = tuple(f"s{i}" for i in range(n))
+    labelling = {s: frozenset(rng.sample(props, rng.randint(0, len(props))))
+                 for s in states}
+    edges = {(s, rng.choice(states)) for s in states
+             for _ in range(rng.randint(0, 2))}
+    return KripkeStructure(states, labelling, tuple(sorted(edges)))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -619,6 +637,21 @@ def test_sat_matches_reference(k, formulas, semantics):
         assert [_outcome(sat, g, phi, semantics) for phi in formulas] == want
         if all(isinstance(w, frozenset) for w in want):
             assert sat_many(g, formulas, semantics) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_kripke_structures(), st.lists(formula_dags(delta=True),
+                                          min_size=1, max_size=3),
+       st.sampled_from(list(Semantics)))
+def test_sat_matches_reference_past_one_machine_word(k, formulas, semantics):
+    # the deadlock extension is the structure on which delta may be read
+    d, _ = deadlock_extension(k)
+    for g in (k, d):
+        want = [_outcome(ref_sat, g, phi, semantics) for phi in formulas]
+        if all(isinstance(w, frozenset) for w in want):
+            assert sat_many(g, formulas, semantics) == want
+        else:
+            assert [_outcome(sat, g, phi, semantics) for phi in formulas] == want
 
 
 # ---------------------------------------------------------------------------

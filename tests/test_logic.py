@@ -94,6 +94,38 @@ def test_rendering_a_deep_chain_holds_its_text_once():
     assert peak < 20 * 2**20
 
 
+def test_sat_holds_a_bitset_per_subformula():
+    # a set of state ids per subformula, held until the fold returns,
+    # peaked near 3 MB here; a bitset costs n / 8 bytes
+    n = 6000
+    rng = random.Random(5)
+    states = tuple(f"s{i}" for i in range(n))
+    k = KripkeStructure(
+        states, {s: rng.sample("pq", rng.randint(0, 2)) for s in states},
+        tuple(sorted({(s, rng.choice(states)) for s in states
+                      for _ in range(rng.randint(0, 2))})))
+    phi = parse_formula("E ((p | q) U EGinf ~q) & AG (p | EG q)")
+    assert _distinct_nodes(phi) >= 15
+    k.index.preds   # built once per structure, not by the fold
+    for semantics in Semantics:
+        tracemalloc.start()
+        try:
+            sat(k, phi, semantics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("text", ["p", "~~~q", "p & ~q | true"])
+def test_a_boolean_formula_builds_no_predecessor_lists(text):
+    k = KripkeStructure(("a", "b"), {"a": {"p"}}, (("a", "b"), ("b", "b")))
+    assert sat(k, parse_formula(text), MAX) == sat(k, parse_formula(text), DB)
+    assert "preds" not in k.index.__dict__
+    assert sat(k, parse_formula("EF p"), MAX) == {"a"}
+    assert "preds" in k.index.__dict__
+
+
 def _distinct_nodes(phi):
     """Node objects of a formula DAG; an equal copy counts apart."""
     seen, stack = {}, [phi]
