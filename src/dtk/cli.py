@@ -210,7 +210,7 @@ def cmd_compose(args) -> int:
     product, root = compose.merge(l1, left_state, l2, right_state)
     # the root is the product's first state, which no clash renames: the
     # file names it by the charset mapping alone
-    header = f"# root: {_sanitize_ids([root])[root]}\n"
+    header = f"# root: {_sanitize_ids([root])[0]}\n"
     _write_output(args.output, chain((header,), _render(product)))
     return 0
 

@@ -33,46 +33,50 @@ def merge(l1: Lts, s, l2: Lts, t):
     names1, names2 = l1.states, l2.states
     # the search runs on pairs of state ids and feeds the product's index
     # (``_Steps``) as it goes: each product state is named once, when found,
-    # and every step is three integers.  A component's steps are distinct,
+    # and every step is three integers.  A pair ``(p, q)`` is keyed by the
+    # one int ``p * len(names2) + q``.  A component's steps are distinct,
     # so the product's are, except that a right self-loop repeats a left
     # one with its action; steps go in unchecked (``append``) until two
     # pairs get one name, which only ids outside the text charset allow
     steps = _Steps(kripke=False)
     action, out = steps.action, steps.succ
     put = steps.append
-    start = (index1.number[s], index2.number[t])
+    width = len(names2)
+    start = index1.number[s] * width + index2.number[t]
     root = f"{s}|{t}"
     ids = {start: steps.state(root)}
     queue = deque([start])
 
-    def reach(pair):
+    def reach(p, q):
         nonlocal put
-        v = ids.get(pair)
+        key = p * width + q
+        v = ids.get(key)
         if v is None:
             known = len(out)
-            v = ids[pair] = steps.state(f"{names1[pair[0]]}|{names2[pair[1]]}")
+            v = ids[key] = steps.state(f"{names1[p]}|{names2[q]}")
             if v < known:   # a name taken: its steps may repeat from here on
                 put = steps.add
-            queue.append(pair)
+            queue.append(key)
         return v
 
     # a component's action id -> the product's, given at first occurrence
     act1, act2 = [None] * len(actions1), [None] * len(actions2)
     while queue:
-        (p, q) = pair = queue.popleft()
-        here = ids[pair]
+        key = queue.popleft()
+        here = ids[key]
+        p, q = divmod(key, width)
         for (a, p2) in succ1[p]:
             b = act1[a]
             if b is None:
                 b = act1[a] = action(actions1[a])
-            v = reach((p2, q))
+            v = reach(p2, q)
             put(here, b, v)
         for (a, q2) in succ2[q]:
             b = act2[a]
             if b is None:
                 b = act2[a] = action(actions2[a])
             if q2 != q or (b, here) not in out[here]:
-                v = reach((p, q2))
+                v = reach(p, q2)
                 put(here, b, v)
     product = Lts(steps.number, l1.actions + l2.actions, steps)
     return product, root

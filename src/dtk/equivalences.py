@@ -17,10 +17,10 @@ deadlock state or diverge) observes ``COMPLETES``; divergence blindness
 observes neither.  A state's signature is one set, and a variant
 compares signatures by set equality.
 
-The signatures of one block come from one Tarjan pass over the block's
-inert graph.  Its strongly connected components are finished after
-every component they reach, so a component's observations are its
-members' non-inert steps, its marker (when it has an internal inert
+The signatures of one block are folded over the strongly connected
+components of the block's inert graph, successors first.  A component
+is finished after every component it reaches, so its observations are
+its members' non-inert steps, its marker (when it has an internal inert
 step, a cycle or a self-loop, or under divergence sensitivity holds a
 deadlock state), and the observations of the components its inert
 steps enter: the markers travel upstream with the rest.  All members
@@ -31,13 +31,23 @@ Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.  A refinement
 reads the structure's integer state index (``g.index``: ``(action id,
-target)`` successor pairs, predecessor lists) and keeps
-a block id per state and a member list per block; an observation is
-one non-negative integer, a marker a negative one.  The first round
-computes every block.  When a block splits, its largest piece keeps the
-block id and the other pieces move to new ids.  A later round computes
-only the dirty blocks: the pieces of a split, and the blocks that hold
-a predecessor of a moved state.
+target)`` successor pairs, predecessor lists); an observation is one
+non-negative integer, a marker a negative one.  The inert components
+are found once, by one Tarjan pass over the initial partition, whose
+index and link values sit in lists indexed by state id.  No round
+splits a component (Groote and Vaandrager): its members share one
+signature.  And a block's inert graph only loses steps as blocks split,
+so its components stay those of the pass and that pass's order stays
+successors-first.  So a block lists its members in that order, a
+component's members side by side, a piece of a split keeps the order,
+and no later round searches for components.  A refinement keeps a
+block id per state, a member list per block of more than one state,
+and one list of per-state signatures, which a block's pass fills and
+its split empties again; state and block ids are the index's own int
+objects.  The first round computes every block.  When a block splits,
+its largest piece keeps the block id and the other pieces move to new
+ids.  A later round computes only the dirty blocks: the pieces of a
+split, and the blocks that hold a predecessor of a moved state.
 Any other block has the same steps into the same block ids as in the
 round before, so its members' signatures are still equal and a full
 round would not split it either; every round therefore yields the same
@@ -159,25 +169,41 @@ _MARKERS = {
 }
 
 
-def _block_signatures(members, block, index, variant):
+def _inert(succ, block):
+    """The successors of a state by inert steps: silent steps into the
+    state's own block."""
+    def follow(u):
+        own = block[u]
+        return [v for (a, v) in succ[u] if not a and block[v] == own]
+    return follow
+
+
+def _block_signatures(members, block, index, variant, sccs=None,
+                      records=None):
     """The signatures of one block's members and of every state they
-    reach by inert steps, as observation sets keyed by state id, from
-    one Tarjan pass over the block's inert graph.  Equal sets are one
-    shared object.  A step ``(a, v)`` is inert iff ``a`` is the silent
-    action 0 and ``v`` is in the block.  An observation ``(a,
-    block(v))`` is encoded as the integer ``block(v) * len(actions) +
-    a``; the variant's marker is added where it applies."""
+    reach by inert steps, as observation sets keyed by state id, folded
+    over the components of the block's inert graph.  ``sccs`` lists
+    those components successors-first; by default one Tarjan pass from
+    ``members`` finds them.  ``records`` receives the sets: a list
+    indexed by state id whose entries for the pass are None, or by
+    default a new dict, which is returned.  Equal sets are one shared
+    object.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
+    and ``v`` is in the block.  An observation ``(a, block(v))`` is
+    encoded as the integer ``block(v) * len(actions) + a``; the
+    variant's marker is added where it applies."""
     succ = index.succ
     width = len(index.actions)
     own = block[members[0]]
     on_cycle, on_deadlock = _MARKERS[variant]
-
-    def inert(u):
-        return [v for (a, v) in succ[u] if not a and block[v] == own]
-
-    records = {}   # state -> the observation set of its SCC
+    if sccs is None:
+        sccs = strongly_connected_components(members, _inert(succ, block))
+    if records is None:
+        records = {}
+        record_of = records.get
+    else:
+        record_of = records.__getitem__
     shared = {}    # each distinct observation set -> itself
-    for scc in strongly_connected_components(members, inert):
+    for scc in sccs:
         obs = set()
         largest = frozenset()   # the largest observation set taken over
         for u in scc:
@@ -188,7 +214,7 @@ def _block_signatures(members, block, index, variant):
                 if a or b != own:
                     obs.add(b * width + a)
                     continue
-                below = records.get(v)
+                below = record_of(v)
                 if below is None:   # v is in this SCC: an inert cycle
                     obs.update(on_cycle)
                 else:
@@ -228,38 +254,58 @@ def _rounds(g, variant: EquivVariant):
     Block ids are not canonical.  A round computes only the dirty blocks
     of more than one member (every block in the first round), and applies
     all splits after all of them are computed, so each round refines the
-    partition the previous one left.
+    partition the previous one left.  A block's inert components are
+    read off its member list, in the order of one Tarjan pass made
+    before the first round (see the module docstring).
     """
     index = g.index
+    ids = list(index.number.values())   # the index's int object per id
     block = _initial_blocks(g)
+    n = len(block)
     members = [[] for _ in set(block)]
-    for u, b in enumerate(block):
-        members[b].append(u)
+    cycle_of = {}   # a member of an inert cycle -> its component's last
+    for scc in strongly_connected_components(ids, _inert(index.succ, block),
+                                             n):
+        members[block[scc[0]]] += scc
+        if len(scc) > 1:
+            cycle_of.update(dict.fromkeys(scc, scc[-1]))
+
+    def components(group):
+        return (list(scc) for _, scc in
+                groupby(group, lambda u: cycle_of.get(u, u)))
+
+    # a block of one state never splits and keeps no member list
+    members = [group if len(group) > 1 else None for group in members]
+    records = [None] * n    # the pass over a block fills, its split empties
     yield tuple(block)
     dirty = range(len(members))
     while True:
         splits = []
         for b in dirty:
             group = members[b]
-            if len(group) < 2:   # a singleton never splits
+            if group is None:
                 continue
-            records = _block_signatures(group, block, index, variant)
+            _block_signatures(group, block, index, variant,
+                              components(group), records)
             buckets = {}
             for u in group:
                 buckets.setdefault(records[u], []).append(u)
+                records[u] = None
             if len(buckets) > 1:
-                # the largest piece keeps the block id, the others move
-                splits.append((b, sorted(buckets.values(), key=len,
-                                         reverse=True)))
+                # the largest piece keeps the block id, the others move;
+                # members are in component order, so equal sizes go by
+                # least state id, as declaration order had them
+                splits.append((b, sorted(buckets.values(),
+                                         key=lambda p: (-len(p), min(p)))))
         if not splits:
             return
         dirty = set()
         for b, (kept, *moved) in splits:
-            members[b] = kept
+            members[b] = kept if len(kept) > 1 else None
             dirty.add(b)
             for piece in moved:
-                b = len(members)
-                members.append(piece)
+                b = ids[len(members)]
+                members.append(piece if len(piece) > 1 else None)
                 dirty.add(b)
                 for u in piece:
                     block[u] = b

@@ -4,9 +4,11 @@ engines.
 The cycle and reachability walks run over the integer state ids of a
 structure's ``StateIndex``, restricted to the subgraph induced by a node
 set: the cycle search reads its ``(action id, target)`` successor pairs,
-the backward search its plain predecessor lists.  The component search
-takes any successor function, which may lead out of its start nodes:
-it then finds the components of everything the start nodes reach.
+the backward search its predecessor lists, which ``predecessors`` keeps
+flat in one ``FlatLists``.  The component search takes any successor
+function, which may lead out of its start nodes: it then finds the
+components of everything the start nodes reach.  Given the node count,
+it keeps its per-node scratch in lists indexed by node, not in dicts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,51 @@ from __future__ import annotations
 import sys
 
 
-def strongly_connected_components(nodes, follow):
+class FlatLists:
+    """Lists of items held as one flat list and its offsets: list ``v``,
+    for ``v`` in ``0..len(lists)-1``, is ``flat[start[v]:start[v + 1]]``,
+    read as a new list by ``lists[v]``.  The offsets are machine
+    integers in a memoryview, 8 bytes each with no int object behind
+    them."""
+
+    __slots__ = ("flat", "start")
+
+    def __init__(self, flat, start):
+        self.flat, self.start = flat, start
+
+    def __len__(self):
+        return len(self.start) - 1
+
+    def __getitem__(self, v):
+        start = self.start
+        return self.flat[start[v]:start[v + 1]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def predecessors(succ, steps) -> FlatLists:
+    """The sources of the steps into each node, in the order ``steps``
+    lists them as ``(source, (label, target))``; ``succ[u]`` holds
+    ``u``'s ``(label, target)`` pairs.  Built by counting: the steps per
+    target fix the offsets, and one pass over ``steps`` places every
+    source."""
+    n = len(succ)
+    start = memoryview(bytearray(8 * (n + 1))).cast("q")
+    for out in succ:
+        for _, v in out:
+            start[v + 1] += 1
+    for v in range(n):
+        start[v + 1] += start[v]
+    flat = [None] * start[n]
+    slot = memoryview(bytearray(start)).cast("q")   # the next free place
+    for u, (_, v) in steps:
+        flat[slot[v]] = u
+        slot[v] += 1
+    return FlatLists(flat, start)
+
+
+def strongly_connected_components(nodes, follow, size=None):
     """Yield the strongly connected components of the graph reached from
     ``nodes``, whose edges from ``v`` go to the nodes in ``follow(v)``
     (which may leave ``nodes``), each as a list.
@@ -22,28 +68,38 @@ def strongly_connected_components(nodes, follow):
     Iterative Tarjan: a component is yielded only after every component
     it reaches, so a consumer can fold results successors-first.  The
     members of a yielded component get index ``sys.maxsize``, above
-    every real one, so an edge into it never lowers a link value.
+    every real one, so an edge into it never lowers a link value.  With
+    ``size``, the nodes are the ids ``0..size-1`` and the index and link
+    values are kept in two lists of that length.
     """
-    index = {}
-    low = {}
+    if size is None:
+        index, low = {}, {}
+        index_of = index.get
+    else:
+        index, low = [None] * size, [None] * size
+        index_of = index.__getitem__
+    count = 0
     stack = []
     done = sys.maxsize
     for root in nodes:
-        if root in index:
+        if index_of(root) is not None:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
         work = [(root, iter(follow(root)))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                i = index_of(w)
+                if i is None:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
                     work.append((w, iter(follow(w))))
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if i < low[v]:
+                    low[v] = i
             else:
                 work.pop()
                 if work:

@@ -111,26 +111,29 @@ class StateIndex(Value):
     actions by id; ``sources`` lists the source of every step in the
     order the steps first occurred, so ``steps`` replays them in that
     order.  ``preds[v]``, the sources of the steps into ``v`` in that
-    order, is built on first read.  Id 0 is silent: "tau", or None on a
-    Kripke structure, whose every step is silent.  Equal pairs are one
-    object, and so are equal ids.  ``_Steps`` builds the index; every
-    engine only reads it."""
+    order, is built on first read: one flat list of sources grouped by
+    target, and its offsets (``graphs.FlatLists``).  Id 0 is silent:
+    "tau", or None on a Kripke structure, whose every step is silent.
+    Equal pairs are one object, and so are equal ids.  ``_Steps`` builds
+    the index; every engine only reads it."""
 
     __match_args__ = ("number", "succ", "actions", "sources")
 
     def steps(self):
         """Every step as ``(source, (action id, target))``, in the order
-        the steps first occurred; the pairs are those of ``succ``."""
-        rest = [iter(out) for out in self.succ]
-        return zip(self.sources, map(next, map(rest.__getitem__,
-                                               self.sources)))
+        the steps first occurred; the pairs are those of ``succ``.  The
+        replay keeps a count per state, not an iterator per state."""
+        succ = self.succ
+        done = [0] * len(succ)
+        for u in self.sources:
+            i = done[u]
+            done[u] = i + 1
+            yield u, succ[u][i]
 
     @cached_property
     def preds(self):
-        preds = [[] for _ in self.succ]
-        for u, (_, v) in self.steps():
-            preds[v].append(u)
-        return preds
+        from .graphs import predecessors    # only the engines read preds
+        return predecessors(self.succ, self.steps())
 
 
 class _Steps:
@@ -475,9 +478,10 @@ def parse_l2ts(text, allow_delta: bool = False) -> DoublyLabelledTS:
 
 
 def _sanitize_ids(states):
-    """Map arbitrary state ids onto the textual id charset, injectively."""
-    mapping = {}
-    taken = set()
+    """Map arbitrary state ids onto the textual id charset, injectively:
+    the mapped ids, in the order of ``states``."""
+    names = []
+    taken = {}  # the names given: a dict, whose table is a set's half
     for s in states:
         candidate = _NON_ID_CHAR.sub(".", s) or "s"
         name = candidate
@@ -485,9 +489,9 @@ def _sanitize_ids(states):
         while name in taken:
             name = f"{candidate}_{k}"
             k += 1
-        taken.add(name)
-        mapping[s] = name
-    return mapping
+        taken[name] = None
+        names.append(name)
+    return names
 
 
 def _render(g):
@@ -497,18 +501,18 @@ def _render(g):
     index in transition order.  A structure without states is one empty
     line.  The CLI writes the lines as they come; ``render_*`` join
     them."""
-    ids = _sanitize_ids(g.states)
+    names = _sanitize_ids(g.states)     # by state id
     labelling = getattr(g, "labelling", None)
     if not g.states:
         yield "\n"
-    for s in g.states:
+    for s, name in zip(g.states, names):
         if labelling is None:
-            yield f"state {ids[s]}\n"
+            yield f"state {name}\n"
             continue
         props = " ".join(sorted(labelling[s]))
-        yield (f"state {ids[s]} {{ {props} }}\n" if props
-               else f"state {ids[s]} {{}}\n")
-    names, actions = list(ids.values()), g.index.actions    # by id
+        yield (f"state {name} {{ {props} }}\n" if props
+               else f"state {name} {{}}\n")
+    actions = g.index.actions    # by id
     edges = g._step_width == 2
     for u, (a, v) in g.index.steps():
         yield (f"edge {names[u]} {names[v]}\n" if edges

@@ -109,6 +109,36 @@ def test_index_matches_tuple_reference(case, scan):
         assert "".join(_render(PARSE[cls](text))) == text
 
 
+@st.composite
+def graphs(draw):
+    """An LTS or a Kripke structure of up to 6 states, none included,
+    whose steps may loop and repeat."""
+    states = draw(st.lists(st.sampled_from(IDS), max_size=6, unique=True))
+    kripke = draw(st.booleans())
+    state = st.sampled_from(states or ["none"])
+    step = (st.tuples(state, state) if kripke
+            else st.tuples(state, st.sampled_from(ACTIONS), state))
+    steps = draw(st.lists(step, max_size=30 if states else 0))
+    if kripke:
+        return KripkeStructure(states, {}, steps)
+    return Lts(states, (TAU,), steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example(KripkeStructure((), {}, ()))
+@example(Lts(("a", "b"), (TAU,), [("a", "x", "a"), ("b", "x", "a"),
+                                  ("a", "x", "a"), ("a", TAU, "b")]))
+def test_flat_preds_reverse_the_steps_in_step_order(g):
+    naive = [[] for _ in g.states]
+    for u, (_, v) in g.index.steps():
+        naive[v].append(u)
+    preds = g.index.preds
+    assert len(preds) == len(naive)
+    assert [preds[v] for v in range(len(naive))] == naive
+    assert list(preds) == naive
+
+
 def test_a_source_past_the_list_scan_keeps_first_occurrences():
     steps = [("a", f"l{i % 12}", "b") for i in range(40)]
     l = Lts(("a", "b"), (TAU,), steps)
