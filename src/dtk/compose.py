@@ -2,8 +2,9 @@
 
 The merge of two root states is the reachable fragment of the product in
 which either component moves independently.  Product states are rendered
-``left|right``; the text renderers map ``|`` into the id charset when a
-product is written out.
+``left|right``, and a pair whose name an earlier pair took (ids holding
+``|`` allow it) gets a fresh one; the text renderers map ``|`` into the
+id charset when a product is written out.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ def merge(l1: Lts, s, l2: Lts, t):
     # the search runs on pairs of state ids and feeds the product's index
     # (``_Steps``) as it goes: each product state is named once, when found,
     # and every step is three integers.  A pair ``(p, q)`` is keyed by the
-    # one int ``p * len(names2) + q``.  A component's steps are distinct,
-    # so the product's are, except that a right self-loop repeats a left
-    # one with its action; steps go in unchecked (``append``) until two
-    # pairs get one name, which only ids outside the text charset allow
+    # one int ``p * len(names2) + q``.  Ids holding "|" can give two pairs
+    # one name; the later pair then gets a fresh one, so each pair is one
+    # product state.  A component's steps are distinct, so the product's
+    # are, except that a right self-loop repeats a left one with its
+    # action; steps go in unchecked (``append``)
     steps = _Steps(kripke=False)
-    action, out = steps.action, steps.succ
-    put = steps.append
+    action, out, put = steps.action, steps.succ, steps.append
     width = len(names2)
     start = index1.number[s] * width + index2.number[t]
     root = f"{s}|{t}"
@@ -48,14 +49,13 @@ def merge(l1: Lts, s, l2: Lts, t):
     queue = deque([start])
 
     def reach(p, q):
-        nonlocal put
         key = p * width + q
         v = ids.get(key)
         if v is None:
-            known = len(out)
-            v = ids[key] = steps.state(f"{names1[p]}|{names2[q]}")
-            if v < known:   # a name taken: its steps may repeat from here on
-                put = steps.add
+            name = f"{names1[p]}|{names2[q]}"
+            if name in steps.number:
+                name = fresh_name(name, steps.number)
+            v = ids[key] = steps.state(name)
             queue.append(key)
         return v
 

@@ -55,11 +55,16 @@ partition as one that recomputes all states.  A block of one state
 never splits and is never computed.  The result is canonicalised once,
 at the end, into one block id per state: no block holds a member set.
 
-``refinement_history`` lists the rounds as they are, one tuple of block
-ids per round; ``logic.distinguish`` reads that list.  For a split it
-makes one ``_block_signatures`` call from the two states the split
-separates, over the round before: the pass covers exactly the states
-they reach by inert steps, all that their signatures depend on.
+One kernel, ``_block_signatures``, folds every signature, over
+components that ``_components`` finds; only this module reads its
+integer observations.  ``check_colouring`` and ``divergent_states`` read
+one pass over the whole colouring.  ``refinement_history`` lists the
+rounds as they are, one tuple of block ids per round; ``logic.distinguish``
+reads that list, and for a split ``split_difference``: one pass from the
+two states the split separates, over the round before, which covers
+exactly the states they reach by inert steps, all that their signatures
+depend on.  It returns what one of them observes and the other does not,
+decoded into ``(action id, block id)`` pairs, or the variant's marker.
 """
 
 from __future__ import annotations
@@ -169,41 +174,34 @@ _MARKERS = {
 }
 
 
-def _inert(succ, block):
-    """The successors of a state by inert steps: silent steps into the
-    state's own block."""
-    def follow(u):
+def _components(index, block, nodes, size=None):
+    """The strongly connected components of the inert graph reached from
+    ``nodes``, successors first, each a list of state ids.  A step is
+    inert iff it is silent (action id 0) and stays in its source's block.
+    With ``size`` the search keeps its scratch in lists of that length."""
+    succ = index.succ
+
+    def inert(u):
         own = block[u]
         return [v for (a, v) in succ[u] if not a and block[v] == own]
-    return follow
+
+    return strongly_connected_components(nodes, inert, size)
 
 
-def _block_signatures(members, block, index, variant, sccs=None,
-                      records=None):
-    """The signatures of one block's members and of every state they
-    reach by inert steps, as observation sets keyed by state id, folded
-    over the components of the block's inert graph.  ``sccs`` lists
-    those components successors-first; by default one Tarjan pass from
-    ``members`` finds them.  ``records`` receives the sets: a list
-    indexed by state id whose entries for the pass are None, or by
-    default a new dict, which is returned.  Equal sets are one shared
-    object.  A step ``(a, v)`` is inert iff ``a`` is the silent action 0
-    and ``v`` is in the block.  An observation ``(a, block(v))`` is
-    encoded as the integer ``block(v) * len(actions) + a``; the
+def _block_signatures(sccs, block, index, variant, records):
+    """Fill ``records`` with the signatures of the states of ``sccs``,
+    components of the inert graph listed successors first, as
+    observation sets folded over the components.  ``records`` maps
+    every state of the pass to None (a list by state id or a dict), and
+    equal sets are one shared object.  An observation ``(a, block(v))``
+    is encoded as the integer ``block(v) * len(actions) + a``; the
     variant's marker is added where it applies."""
     succ = index.succ
     width = len(index.actions)
-    own = block[members[0]]
     on_cycle, on_deadlock = _MARKERS[variant]
-    if sccs is None:
-        sccs = strongly_connected_components(members, _inert(succ, block))
-    if records is None:
-        records = {}
-        record_of = records.get
-    else:
-        record_of = records.__getitem__
     shared = {}    # each distinct observation set -> itself
     for scc in sccs:
+        own = block[scc[0]]
         obs = set()
         largest = frozenset()   # the largest observation set taken over
         for u in scc:
@@ -214,7 +212,7 @@ def _block_signatures(members, block, index, variant, sccs=None,
                 if a or b != own:
                     obs.add(b * width + a)
                     continue
-                below = record_of(v)
+                below = records[v]
                 if below is None:   # v is in this SCC: an inert cycle
                     obs.update(on_cycle)
                 else:
@@ -226,7 +224,6 @@ def _block_signatures(members, block, index, variant, sccs=None,
         obs = shared.setdefault(obs, obs)
         for u in scc:
             records[u] = obs
-    return records
 
 
 def _initial_blocks(g):
@@ -264,8 +261,7 @@ def _rounds(g, variant: EquivVariant):
     n = len(block)
     members = [[] for _ in set(block)]
     cycle_of = {}   # a member of an inert cycle -> its component's last
-    for scc in strongly_connected_components(ids, _inert(index.succ, block),
-                                             n):
+    for scc in _components(index, block, ids, n):
         members[block[scc[0]]] += scc
         if len(scc) > 1:
             cycle_of.update(dict.fromkeys(scc, scc[-1]))
@@ -285,8 +281,8 @@ def _rounds(g, variant: EquivVariant):
             group = members[b]
             if group is None:
                 continue
-            _block_signatures(group, block, index, variant,
-                              components(group), records)
+            _block_signatures(components(group), block, index, variant,
+                              records)
             buckets = {}
             for u in group:
                 buckets.setdefault(records[u], []).append(u)
@@ -338,20 +334,46 @@ def coarsest_partition(g, variant: EquivVariant) -> Partition:
     return _partition(g.states, block)
 
 
+def split_difference(g, u, w, block, variant: EquivVariant):
+    """What tells apart the states with ids ``u`` and ``w``, which share
+    a block of the per-state block ids ``block`` but not a signature over
+    them: ``(x, found)``, where ``x`` is the one of the two that observes
+    what the other does not.  ``found`` lists those observations as
+    ``(action id, block id)`` pairs, ``u``'s before ``w``'s, or, when
+    only the variant's marker differs, is that marker.  One pass from
+    both states covers every state either reaches by inert steps, all
+    that their signatures depend on, and its records hold only those."""
+    index = g.index
+    sccs = list(_components(index, block, (u, w)))
+    records = dict.fromkeys(v for scc in sccs for v in scc)
+    _block_signatures(sccs, block, index, variant, records)
+    width = len(index.actions)
+    ou, ow = records[u], records[w]
+    for x, extra in ((u, ou - ow), (w, ow - ou)):
+        found = [(c % width, c // width) for c in extra if c >= 0]
+        if found:
+            return x, found
+    (marker,) = ou ^ ow     # the variant's one marker
+    return (u if marker in ou else w), marker
+
+
 # the names of the structure kinds, which the benchmark's tracer wraps
 coarsest_partition_ks = coarsest_partition_lts = coarsest_partition
 
 
-def _block_kernels(g, p: Partition, variant: EquivVariant):
-    """Each block's signatures over ``p``, one whole kernel pass per
-    block, as every signature is read; ``p`` must cover the states."""
+def _colouring_signatures(g, p: Partition, variant: EquivVariant):
+    """Every state's signature over ``p``, one kernel pass over all
+    states: the per-state block ids and signatures, as lists by state
+    id; ``p`` must cover the states."""
     _labels(g)
     if set(p.block_of) != set(g.states):
         raise ValueError("partition does not cover the state set")
-    index = g.index
+    index, n = g.index, len(g.states)
     block = [p.block_of[s] for s in g.states]
-    return (_block_signatures([index.number[s] for s in members], block,
-                              index, variant) for members in p.members())
+    records = [None] * n
+    _block_signatures(_components(index, block, range(n), n), block, index,
+                      variant, records)
+    return block, records
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
@@ -359,14 +381,9 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     conditions: equal observation sets (length-three coloured traces),
     the variant's divergence or completion marker included; on a Kripke
     structure blocks must also be label-uniform."""
-    kernels = _block_kernels(g, p, variant)
-    labels = _labels(g)
-    if labels is not None:
-        label_of = {}   # block id -> the label of its first state
-        if any(label_of.setdefault(b, labels[s]) != labels[s]
-               for s, b in p.block_of.items()):
-            return False
-    return all(len(set(records.values())) == 1 for records in kernels)
+    block, records = _colouring_signatures(g, p, variant)
+    label = map((_labels(g) or {}).get, g.states)   # None on an LTS
+    return len(set(zip(block, label, records))) == len(set(block))
 
 
 def _set_partitions(items):
@@ -407,9 +424,8 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
-    kernels = _block_kernels(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
-    return {g.states[u] for records in kernels
-            for u, obs in records.items() if DIVERGES in obs}
+    _, records = _colouring_signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
+    return {s for s, obs in zip(g.states, records) if DIVERGES in obs}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

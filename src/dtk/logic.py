@@ -512,10 +512,7 @@ def distinguish(k: KripkeStructure, s, t,
     k.check_state(s)
     k.check_state(t)
     rounds = equivalences.refinement_history(k, variant)
-    index = k.index
-    # an observation is the integer ``block id * width + action id``
-    width = len(index.actions)
-    s, t = index.number[s], index.number[t]
+    s, t = k.index.number[s], k.index.number[t]
     if rounds[-1][s] == rounds[-1][t]:
         return None
     # one int object per state id, shared by every round's ``firsts``
@@ -573,37 +570,19 @@ def distinguish(k: KripkeStructure, s, t,
     def split_formula(u, w, level):
         """True at u's sub-block, false at w's, for a round-``level``
         split of their shared earlier block."""
-        firsts = level_index(level - 1)[0]
-
-        def rep(observations):
-            """The first-declared member of the least observation's
-            block; observations order by action id, then by block in
-            canonical order."""
-            return min((c % width, firsts[c // width])
-                       for c in observations)[1]
-
-        # u and w share a block of the round before, so one pass from
-        # both covers every state either reaches by inert steps
-        records = equivalences._block_signatures(
-            [u, w], rounds[level - 1], index, variant)
-        ou, ow = records[u], records[w]
-        # real observations first: a marker is negative, and would make
-        # ``rep`` read ``firsts[-1]``
-        extra = [c for c in ou - ow if c >= 0]
-        if extra:
-            return ExistsUntil((yield u, level - 1),
-                               (yield rep(extra), level - 1))
-        extra = [c for c in ow - ou if c >= 0]
-        if extra:
-            return Not(ExistsUntil((yield w, level - 1),
-                                   (yield rep(extra), level - 1)))
-        if ou != ow:   # they differ in the variant's one marker
-            op = (ExistsGInf if equivalences.DIVERGES in ou ^ ow
-                  else ExistsG)
-            if ou > ow:
-                return op((yield u, level - 1))
-            return Not(op((yield w, level - 1)))
-        raise AssertionError("states split without a signature difference")
+        x, found = equivalences.split_difference(
+            k, u, w, rounds[level - 1], variant)
+        if found == equivalences.DIVERGES:
+            f = ExistsGInf((yield x, level - 1))
+        elif found == equivalences.COMPLETES:
+            f = ExistsG((yield x, level - 1))
+        else:
+            # the first-declared member of the least observation's block:
+            # by action id, then by block in canonical order
+            firsts = level_index(level - 1)[0]
+            rep = min((a, firsts[b]) for a, b in found)[1]
+            f = ExistsUntil((yield x, level - 1), (yield rep, level - 1))
+        return f if x == u else Not(f)
 
     def build(gen):
         """Run ``gen`` on an explicit stack of generators, each running

@@ -679,7 +679,7 @@ def test_distinguish_builds_no_partition_per_round(monkeypatch):
         raise AssertionError("a canonical partition or whole round was built")
 
     monkeypatch.setattr(equivalences, "_partition", refuse)
-    monkeypatch.setattr(equivalences, "_block_kernels", refuse)
+    monkeypatch.setattr(equivalences, "_colouring_signatures", refuse)
     assert repr(distinguish(k, "c0", "c2", ED)) == want
 
 

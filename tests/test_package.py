@@ -1,5 +1,7 @@
-"""The package's lazy name table and which engines each command runs."""
+"""The package's lazy name table, which engines each command runs, and
+which module may name the refinement kernel."""
 
+import ast
 import importlib
 import json
 import os
@@ -144,3 +146,22 @@ def test_main_module_runs_without_warnings():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: dtk")
 
+
+
+# the refinement kernel and its observation encoding
+KERNEL = {"_block_signatures", "_components", "_colouring_signatures"}
+
+
+def test_only_equivalences_names_the_refinement_kernel():
+    for path in Path(dtk.__file__).parent.glob("*.py"):
+        if path.name == "equivalences.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & KERNEL, path.name

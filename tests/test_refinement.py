@@ -6,14 +6,17 @@ state, and ``reference_history`` refines with it, recomputing every
 state in every round.  Every round of ``refinement_history`` must match
 that history, and each round's kernel sets must decode to its
 signatures; so must ``check_colouring`` and ``divergent_states`` on
-arbitrary colourings.  A round of the engine recomputes only the blocks
-a split may have touched, so each of its rounds must also equal a round
-that recomputes every state.  The scale test refines a 2000-state LTS
-and compares the divergence-blind result with a refinement whose
-observation sets are a plain least fixpoint.
+arbitrary colourings, and what ``split_difference`` finds for a pair a
+round separates must lie in one of the two signatures only.  A round of
+the engine recomputes only the blocks a split may have touched, so each
+of its rounds must also equal a round that recomputes every state.  The
+scale test refines a 2000-state LTS and compares the divergence-blind
+result with a refinement whose observation sets are a plain least
+fixpoint.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from dtk.equivalences import (
     DIVERGES,
     EquivVariant,
     Partition,
-    _block_kernels,
+    _colouring_signatures,
     _partition,
     check_colouring,
     coarsest_partition,
@@ -33,6 +36,7 @@ from dtk.equivalences import (
     equivalent,
     meet,
     refinement_history,
+    split_difference,
 )
 from dtk.linear import complete_traces
 from dtk.logic import Semantics, distinguish, parse_formula, sat
@@ -73,12 +77,12 @@ def _decoded_signatures(g, part, variant):
     ``bfs_signatures``."""
     actions = g.index.actions
     width = len(actions)
-    return {g.states[u]: (frozenset((actions[c % width], c // width)
-                                    for c in obs if c >= 0),
-                          DIVERGES in obs if variant is ED else None,
-                          COMPLETES in obs if variant is DS else None)
-            for records in _block_kernels(g, part, variant)
-            for u, obs in records.items()}
+    _, records = _colouring_signatures(g, part, variant)
+    return {s: (frozenset((actions[c % width], c // width)
+                          for c in obs if c >= 0),
+                DIVERGES in obs if variant is ED else None,
+                COMPLETES in obs if variant is DS else None)
+            for s, obs in zip(g.states, records)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,6 +128,35 @@ def test_arbitrary_colourings_match_per_state_bfs(g, data):
             assert check_colouring(g, p, variant) == (labelled and uniform)
         ref = bfs_signatures(g, p, ED)
         assert divergent_states(g, p) == {s for s in g.states if ref[s][1]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(inert_graphs("lts"), inert_graphs("ks")))
+def test_split_difference_lies_in_one_signature_only(g):
+    # every pair a round separates, told apart by what only one of the two
+    # observes over the round before; real observations first, u's first
+    actions = g.index.actions
+    for variant in EquivVariant:
+        rounds = refinement_history(g, variant)
+        for before, after in zip(rounds, rounds[1:]):
+            ref = bfs_signatures(g, Partition(dict(zip(g.states, before))),
+                                 variant)
+            sig = [ref[s] for s in g.states]
+            for u, w in combinations(range(len(g.states)), 2):
+                if before[u] != before[w] or after[u] == after[w]:
+                    continue
+                x, found = split_difference(g, u, w, before, variant)
+                sx, sy = sig[x], sig[u + w - x]
+                if found == DIVERGES:
+                    assert variant is ED and sx[1] and not sy[1]
+                    assert sx[0] == sy[0]
+                elif found == COMPLETES:
+                    assert variant is DS and sx[2] and not sy[2]
+                    assert sx[0] == sy[0]
+                else:
+                    assert found and (x == u or sig[u][0] <= sig[w][0])
+                    for a, b in found:
+                        assert (actions[a], b) in sx[0] - sy[0]
 
 
 @st.composite

@@ -17,6 +17,7 @@ from dtk.structures import (
     Lts,
     TAU,
     _render,
+    fresh_name,
     parse_ks,
     parse_l2ts,
     parse_lts,
@@ -162,15 +163,18 @@ def pipe_ltss(draw):
 
 
 def _reference_merge(l1, s, l2, t):
-    """The product as ``merge`` built it as tuples: breadth first, left
-    moves then right moves, a product state per name."""
+    """The product as ``merge`` builds it as tuples: breadth first, left
+    moves then right moves, a product state per reachable pair, named
+    ``left|right`` or, when another pair took that name, the first free
+    name of ``fresh_name``.  Returns the product and the number of
+    reachable pairs."""
     names = {(s, t): f"{s}|{t}"}
     states, trans, queue = [names[(s, t)]], [], deque([(s, t)])
     (succ1, _), (succ2, _) = name_keyed_steps(l1), name_keyed_steps(l2)
 
     def reach(pair):
         if pair not in names:
-            names[pair] = f"{pair[0]}|{pair[1]}"
+            names[pair] = fresh_name(f"{pair[0]}|{pair[1]}", states)
             states.append(names[pair])
             queue.append(pair)
         return names[pair]
@@ -181,7 +185,7 @@ def _reference_merge(l1, s, l2, t):
             trans.append((names[pair], a, reach((p2, q))))
         for (a, q2) in succ2[q]:
             trans.append((names[pair], a, reach((p, q2))))
-    return Lts(states, l1.actions + l2.actions, trans)
+    return Lts(states, l1.actions + l2.actions, trans), len(names)
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,11 +193,16 @@ def _reference_merge(l1, s, l2, t):
 # (a|b, c) and (a, b|c) are both "a|b|c", each reached from (a, c) by "x"
 @example(Lts(("a", "a|b"), (), [("a", "x", "a|b")]),
          Lts(("c", "b|c"), (), [("c", "x", "b|c")]))
+# (x|y, z) is named "x|y|z" like the root (x, y|z): a 4-state DAG, not a
+# cycle back to the root
+@example(Lts(("x", "x|y"), (), [("x", "a", "x|y")]),
+         Lts(("y|z", "z"), (), [("y|z", "b", "z")]))
 def test_merge_matches_tuple_reference(l1, l2):
     s, t = l1.states[0], l2.states[0]
     product, root = merge(l1, s, l2, t)
-    reference = _reference_merge(l1, s, l2, t)
+    reference, pairs = _reference_merge(l1, s, l2, t)
     assert root == f"{s}|{t}"
+    assert len(product.states) == pairs
     assert product == reference
     assert product.index == reference.index
 
