@@ -6,6 +6,11 @@ inconsistent, 2 for usage or input errors.  ``--json`` wraps a printed
 result in a versioned envelope; model text is never wrapped.  A model
 file is parsed as it is read, and model text is written as it is
 rendered, so no command holds a model's whole text.
+
+``main`` returns the exit code, for callers in the same interpreter.
+The ``dtk`` command and ``python -m dtk.cli`` go through ``run``, which
+ends the process once the output is flushed, without the interpreter's
+teardown.
 """
 
 from __future__ import annotations
@@ -354,5 +359,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The ``dtk`` command: ``main``'s code becomes the exit status.  The
+    process ends as soon as its output is flushed; every file it wrote
+    is closed by then, and the interpreter's teardown would only free
+    what nothing reads again.  A usage error still exits through
+    ``SystemExit``."""
+    code = main()
+    _write_stdout(())   # the last flush; a closed pipe keeps the code
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

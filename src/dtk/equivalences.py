@@ -57,14 +57,15 @@ at the end, into one block id per state: no block holds a member set.
 
 One kernel, ``_block_signatures``, folds every signature, over
 components that ``_components`` finds; only this module reads its
-integer observations.  ``check_colouring`` and ``divergent_states`` read
-one pass over the whole colouring.  ``refinement_history`` lists the
-rounds as they are, one tuple of block ids per round; ``logic.distinguish``
-reads that list, and for a split ``split_difference``: one pass from the
-two states the split separates, over the round before, which covers
-exactly the states they reach by inert steps, all that their signatures
-depend on.  It returns what one of them observes and the other does not,
-decoded into ``(action id, block id)`` pairs, or the variant's marker.
+integer observations.  ``check_colouring`` (once the labels agree) and
+``divergent_states`` read one pass over the whole colouring.
+``refinement_history`` lists the rounds as they are, one tuple of block
+ids per round; ``logic.distinguish`` reads that list, and for a split
+``split_difference``: one pass from the two states the split separates,
+over the round before, which covers exactly the states they reach by
+inert steps, all that their signatures depend on.  It returns what one
+of them observes and the other does not, decoded into ``(action id,
+block id)`` pairs, or the variant's marker.
 """
 
 from __future__ import annotations
@@ -361,13 +362,17 @@ def split_difference(g, u, w, block, variant: EquivVariant):
 coarsest_partition_ks = coarsest_partition_lts = coarsest_partition
 
 
+def _check_cover(g, p: Partition):
+    if set(p.block_of) != set(g.states):
+        raise ValueError("partition does not cover the state set")
+
+
 def _colouring_signatures(g, p: Partition, variant: EquivVariant):
     """Every state's signature over ``p``, one kernel pass over all
     states: the per-state block ids and signatures, as lists by state
     id; ``p`` must cover the states."""
     _labels(g)
-    if set(p.block_of) != set(g.states):
-        raise ValueError("partition does not cover the state set")
+    _check_cover(g, p)
     index, n = g.index, len(g.states)
     block = [p.block_of[s] for s in g.states]
     records = [None] * n
@@ -380,10 +385,16 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     """Decide validity of a colouring through the finite per-block
     conditions: equal observation sets (length-three coloured traces),
     the variant's divergence or completion marker included; on a Kripke
-    structure blocks must also be label-uniform."""
+    structure blocks must also be label-uniform, which is tested first,
+    without a kernel pass."""
+    labelling = _labels(g)
+    _check_cover(g, p)
+    block_of, blocks = p.block_of, len(p)
+    if labelling is not None and len(
+            {(block_of[s], labelling[s]) for s in g.states}) != blocks:
+        return False
     block, records = _colouring_signatures(g, p, variant)
-    label = map((_labels(g) or {}).get, g.states)   # None on an LTS
-    return len(set(zip(block, label, records))) == len(set(block))
+    return len(set(zip(block, records))) == blocks
 
 
 def _set_partitions(items):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtk import figures
+from dtk import equivalences, figures
 from dtk.equivalences import (
     COMPLETES,
     DIVERGES,
@@ -106,6 +106,27 @@ def test_check_colouring_rejects_label_mixing_on_ks():
     universal = Partition.from_blocks([list(k.states)], k.states)
     for v in ALL_VARIANTS:
         assert not check_colouring(k, universal, v)
+
+
+def test_check_colouring_rejects_mixed_labels_without_a_kernel_pass(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel pass over a label-mixing colouring")
+
+    monkeypatch.setattr(equivalences, "_colouring_signatures", refuse)
+    k = figures.stuttering_example_ks()
+    mixed = 0
+    for blocks in _set_partitions(k.states):
+        if all(len({k.labelling[s] for s in b}) == 1 for b in blocks):
+            continue
+        mixed += 1
+        p = Partition.from_blocks(blocks, k.states)
+        for v in ALL_VARIANTS:
+            assert not check_colouring(k, p, v)
+    assert mixed == 52 - 5 * 2   # Bell(5), less Bell(3) * Bell(2) uniform
+    # a colouring that misses a state is an error before its labels
+    with pytest.raises(ValueError, match="cover"):
+        check_colouring(k, Partition.from_blocks([["s"]], ["s"]), DB)
 
 
 # --- divergence -------------------------------------------------------------

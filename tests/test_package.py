@@ -1,10 +1,12 @@
-"""The package's lazy name table, which engines each command runs, and
-which module may name the refinement kernel."""
+"""The package's lazy name table, which engines each command runs,
+which module may name the refinement kernel, and that no module needs
+the interpreter's teardown."""
 
 import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,39 @@ def test_main_module_runs_without_warnings():
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: dtk")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("check-equiv", "--model", "l.lts", "--kind", "lts", "--variant", "ed",
+      "--state", "0", "--state", "a"), 1),
+    (("compose", "--left", "l.lts:0", "--right", "l.lts:a",
+      "-o", "product.lts"), 0),
+])
+def test_a_command_runs_without_warnings(models, tmp_path, argv, expected):
+    # --help leaves through SystemExit, these through cli.run; compose
+    # writes beside a copy of the model, not into the shared directory
+    shutil.copy(models / "l.lts", tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dtk.cli", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (expected, "")
+
+
+def test_no_module_needs_the_interpreter_teardown():
+    # cli.run ends the process with os._exit, which runs no exit handler,
+    # no weakref finaliser and no __del__
+    for path in Path(dtk.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "atexit" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "atexit", path.name
+                assert not (node.module == "weakref" and "finalize" in
+                            {a.name for a in node.names}), path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "finalize", path.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "__del__", path.name
 
 
 
