@@ -35,8 +35,8 @@ _HOMES = {
         "divergent_states", "equivalent", "oracle_coarsest_partition",
         "refinement_history"),
     "logic": (
-        "Semantics", "check", "distinguish", "enumerate_formulas",
-        "parse_formula", "render_formula", "sat", "sat_many", "sdelta_eval"),
+        "Semantics", "check", "distinguish", "parse_formula",
+        "render_formula", "sat", "sat_many", "sdelta_eval"),
     "transforms": (
         "deadlock_extension", "encode_D", "encode_E", "eta_midpoint",
         "ks_to_l2ts", "totalize_all_selfloops", "totalize_deadlock_selfloops"),
@@ -44,8 +44,8 @@ _HOMES = {
         "coarsest_congruence_probe", "congruence_counterexample",
         "congruence_sample", "merge"),
     "linear": (
-        "ColouredTrace", "TraceVariant", "complete_traces", "coloured_traces",
-        "distinguish_ltl", "eval_path_formula", "interleave_trace_sets",
+        "ColouredTrace", "TraceVariant", "complete_traces", "distinguish_ltl",
+        "eval_path_formula", "interleave_trace_sets",
         "maximal_path_representatives", "trace_equiv"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}

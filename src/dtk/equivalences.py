@@ -14,8 +14,9 @@ observes deadlock: as marker observations.  Under explicit divergence a
 state that starts an infinite inert run observes ``DIVERGES``; under
 divergence sensitivity a state whose inert runs can complete (reach a
 deadlock state or diverge) observes ``COMPLETES``; divergence blindness
-observes neither.  A state's signature is one set, and a variant
-compares signatures by set equality.
+observes neither.  A state's signature is one int, a bitset: bits 0
+and 1 are the markers, and a kernel pass numbers the other bits by the
+observations in the order it meets them.
 
 The signatures of one block are folded over the strongly connected
 components of the block's inert graph, successors first.  A component
@@ -24,15 +25,14 @@ its members' non-inert steps, its marker (when it has an internal inert
 step, a cycle or a self-loop, or under divergence sensitivity holds a
 deadlock state), and the observations of the components its inert
 steps enter: the markers travel upstream with the rest.  All members
-share one set, and within one pass equal sets are one shared object,
-so a block holds one set per distinct signature, not one per state.
+hold one int, and equal sets are equal ints within one pass.
 
 Blocks are split by signature until the partition is stable.  The
 fixpoint, started from the coarsest admissible partition, is the
 coarsest consistent colouring of the respective kind.  A refinement
 reads the structure's integer state index (``g.index``: ``(action id,
 target)`` successor pairs, predecessor lists); an observation is one
-non-negative integer, a marker a negative one.  The inert components
+integer, ``block * len(actions) + action``.  The inert components
 are found once, by one Tarjan pass over the initial partition, whose
 index and link values sit in lists indexed by state id.  No round
 splits a component (Groote and Vaandrager): its members share one
@@ -56,16 +56,17 @@ never splits and is never computed.  The result is canonicalised once,
 at the end, into one block id per state: no block holds a member set.
 
 One kernel, ``_block_signatures``, folds every signature, over
-components that ``_components`` finds; only this module reads its
-integer observations.  ``check_colouring`` (once the labels agree) and
+components that ``_components`` finds, and returns its pass's numbering
+of observations by bit; only this module reads its signatures.
+``check_colouring`` (once the labels agree) and
 ``divergent_states`` read one pass over the whole colouring.
 ``refinement_history`` lists the rounds as they are, one tuple of block
 ids per round; ``logic.distinguish`` reads that list, and for a split
 ``split_difference``: one pass from the two states the split separates,
 over the round before, which covers exactly the states they reach by
 inert steps, all that their signatures depend on.  It returns what one
-of them observes and the other does not, decoded into ``(action id,
-block id)`` pairs, or the variant's marker.
+of them observes and the other does not, decoded through that pass's
+numbering into ``(action id, block id)`` pairs, or the variant's marker.
 """
 
 from __future__ import annotations
@@ -162,16 +163,16 @@ def _labels(g):
     raise TypeError(f"unsupported structure {type(g).__name__}")
 
 
-# marker observations; a real one, ``block * width + action``, is >= 0
-DIVERGES = -1
-COMPLETES = -2
+# the marker observations, bits 0 and 1 of a signature
+DIVERGES = 1
+COMPLETES = 2
 
 # per variant: the markers of a component with an internal inert step,
-# and of one that holds a deadlock state
+# and of one that holds a deadlock state (0: none)
 _MARKERS = {
-    EquivVariant.DIVERGENCE_BLIND: ((), ()),
-    EquivVariant.DIVERGENCE_SENSITIVE: ((COMPLETES,), (COMPLETES,)),
-    EquivVariant.EXPLICIT_DIVERGENCE: ((DIVERGES,), ()),
+    EquivVariant.DIVERGENCE_BLIND: (0, 0),
+    EquivVariant.DIVERGENCE_SENSITIVE: (COMPLETES, COMPLETES),
+    EquivVariant.EXPLICIT_DIVERGENCE: (DIVERGES, 0),
 }
 
 
@@ -190,41 +191,35 @@ def _components(index, block, nodes, size=None):
 
 
 def _block_signatures(sccs, block, index, variant, records):
-    """Fill ``records`` with the signatures of the states of ``sccs``,
-    components of the inert graph listed successors first, as
-    observation sets folded over the components.  ``records`` maps
-    every state of the pass to None (a list by state id or a dict), and
-    equal sets are one shared object.  An observation ``(a, block(v))``
-    is encoded as the integer ``block(v) * len(actions) + a``; the
-    variant's marker is added where it applies."""
+    """Fill ``records``, which maps every state of the pass to None (a
+    list by state id or a dict), with the signatures of the states of
+    ``sccs``, components of the inert graph listed successors first;
+    return the numbering: each observation ``(a, block(v))``, encoded
+    ``block(v) * len(actions) + a``, -> its bit, from bit 2 on."""
     succ = index.succ
     width = len(index.actions)
     on_cycle, on_deadlock = _MARKERS[variant]
-    shared = {}    # each distinct observation set -> itself
+    bit = {}
     for scc in sccs:
         own = block[scc[0]]
-        obs = set()
-        largest = frozenset()   # the largest observation set taken over
+        obs = 0
         for u in scc:
             if not succ[u]:
-                obs.update(on_deadlock)
+                obs |= on_deadlock
             for (a, v) in succ[u]:
                 b = block[v]
                 if a or b != own:
-                    obs.add(b * width + a)
+                    c = b * width + a
+                    if c not in bit:
+                        bit[c] = 4 << len(bit)
+                    obs |= bit[c]
                     continue
                 below = records[v]
-                if below is None:   # v is in this SCC: an inert cycle
-                    obs.update(on_cycle)
-                else:
-                    if len(below) > len(largest):
-                        largest = below
-                    obs |= below
-        # ``largest`` is a subset of ``obs``; reuse it when they are equal
-        obs = largest if len(obs) == len(largest) else frozenset(obs)
-        obs = shared.setdefault(obs, obs)
+                # None: v is in this SCC, an inert cycle
+                obs |= on_cycle if below is None else below
         for u in scc:
             records[u] = obs
+    return bit
 
 
 def _initial_blocks(g):
@@ -347,15 +342,15 @@ def split_difference(g, u, w, block, variant: EquivVariant):
     index = g.index
     sccs = list(_components(index, block, (u, w)))
     records = dict.fromkeys(v for scc in sccs for v in scc)
-    _block_signatures(sccs, block, index, variant, records)
+    bit = _block_signatures(sccs, block, index, variant, records)
     width = len(index.actions)
     ou, ow = records[u], records[w]
-    for x, extra in ((u, ou - ow), (w, ow - ou)):
-        found = [(c % width, c // width) for c in extra if c >= 0]
+    for x, extra in ((u, ou & ~ow), (w, ow & ~ou)):
+        found = [(c % width, c // width) for c, b in bit.items() if extra & b]
         if found:
             return x, found
-    (marker,) = ou ^ ow     # the variant's one marker
-    return (u if marker in ou else w), marker
+    marker = ou ^ ow     # the variant's one marker
+    return (u if ou & marker else w), marker
 
 
 # the names of the structure kinds, which the benchmark's tracer wraps
@@ -370,15 +365,15 @@ def _check_cover(g, p: Partition):
 def _colouring_signatures(g, p: Partition, variant: EquivVariant):
     """Every state's signature over ``p``, one kernel pass over all
     states: the per-state block ids and signatures, as lists by state
-    id; ``p`` must cover the states."""
+    id, and the pass's numbering; ``p`` must cover the states."""
     _labels(g)
     _check_cover(g, p)
     index, n = g.index, len(g.states)
     block = [p.block_of[s] for s in g.states]
     records = [None] * n
-    _block_signatures(_components(index, block, range(n), n), block, index,
-                      variant, records)
-    return block, records
+    bit = _block_signatures(_components(index, block, range(n), n), block,
+                            index, variant, records)
+    return block, records, bit
 
 
 def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
@@ -393,7 +388,7 @@ def check_colouring(g, p: Partition, variant: EquivVariant) -> bool:
     if labelling is not None and len(
             {(block_of[s], labelling[s]) for s in g.states}) != blocks:
         return False
-    block, records = _colouring_signatures(g, p, variant)
+    block, records, _ = _colouring_signatures(g, p, variant)
     return len(set(zip(block, records))) == blocks
 
 
@@ -435,8 +430,8 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
-    _, records = _colouring_signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)
-    return {s for s, obs in zip(g.states, records) if DIVERGES in obs}
+    records = _colouring_signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)[1]
+    return {s for s, obs in zip(g.states, records) if obs & DIVERGES}
 
 
 def equivalent(g, s, t, variant: EquivVariant) -> bool:

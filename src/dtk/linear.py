@@ -17,10 +17,10 @@ Completion markers tell how the underlying path ends:
 * ``prefix``     -- an arbitrary (not necessarily complete) trace; used
   by the interleaving algebra.
 
-``complete_traces`` is the one trace search; ``coloured_traces`` is the
-step-prefix closure of its result.  A lasso's stem is as short as it can
-be and its cycle is primitive, so two traces from one structure spell
-the same sequence exactly when their ``items`` and ``cycle`` are equal.
+``complete_traces`` is the one trace search.  A lasso's stem is as short
+as it can be and its cycle is primitive, so two traces from one
+structure spell the same sequence exactly when their ``items`` and
+``cycle`` are equal.
 """
 
 from __future__ import annotations
@@ -199,16 +199,6 @@ def complete_traces(g, s, colouring, bound: int):
             else:
                 stack.append((False, v, steps + ((actions[a], cv),)))
     return emitted, exhausted
-
-
-def coloured_traces(g, s, colouring, bound: int) -> set:
-    """All contracted traces (prefixes of complete ones) of at most
-    ``bound`` steps, as plain item tuples: the step prefixes of
-    ``complete_traces``, which unrolls every lasso up to the bound."""
-    traces, _ = complete_traces(g, s, colouring, bound)
-    width = 1 if isinstance(g, KripkeStructure) else 2
-    return {t.items[:i] for t in traces
-            for i in range(1, len(t.items) + 1, width)}
 
 
 # ---------------------------------------------------------------------------

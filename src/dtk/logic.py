@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import reduce
-from itertools import chain, compress, islice
+from itertools import compress
 
 from . import equivalences
 from .graphs import backward_reach, tarjan_cycle_states
@@ -448,44 +448,6 @@ def sdelta_eval(phi) -> bool:
     their right argument and globals to their body.
     """
     return _fold(phi, _at_sink)
-
-
-# ---------------------------------------------------------------------------
-# Formula enumeration
-# ---------------------------------------------------------------------------
-
-def enumerate_formulas(props, depth: int, budget: int,
-                       include_infinity: bool = True) -> list:
-    """Deterministic enumeration to a given temporal-operator depth.
-
-    Depth 0 holds the positive atoms and their negations; each further
-    level adds every until/always combination over the previous level
-    (and their negations), deduplicated, truncated to ``budget`` (>= 0).
-    """
-    if not 0 <= depth <= 4:
-        raise ValueError("enumeration depth must be between 0 and 4")
-    if budget < 0:
-        raise ValueError("budget must not be negative")
-    atoms = [TRUE] + [Prop(p) for p in sorted(props)]
-    unary = (ExistsG, ExistsGInf) if include_infinity else (ExistsG,)
-
-    def candidates(level):
-        for f in chain((ExistsUntil(a, b) for a in level for b in level),
-                       (op(sub) for sub in level for op in unary)):
-            yield f
-            yield Not(f)
-
-    def formulas():
-        seen = {}   # each formula yielded so far, in order: the levels
-        batch = atoms + [Not(f) for f in atoms]
-        for _ in range(depth + 1):
-            for f in batch:
-                if f not in seen:
-                    seen[f] = None
-                    yield f
-            batch = candidates(list(seen))
-
-    return list(islice(formulas(), budget))
 
 
 # ---------------------------------------------------------------------------

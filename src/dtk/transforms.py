@@ -33,9 +33,7 @@ def eta_midpoint(l: Lts):
     replacement transitions both carry ``a``.  Silent transitions are
     untouched.  Returns the doubly labelled system.
     """
-    dummy = DUMMY_PROP
-    while dummy in l.actions:
-        dummy = fresh_name(DUMMY_PROP, set(l.actions) | {dummy})
+    dummy = fresh_name(DUMMY_PROP, set(l.actions))
     states = list(l.states)
     taken = set(states)
     # one label object per distinct label: the original states share one,

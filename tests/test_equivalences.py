@@ -318,7 +318,7 @@ def test_meet_and_join_are_lattice_bounds():
     assert _refines(p, j) and _refines(q, j)
 
 
-# --- equal signatures are shared ---------------------------------------------
+# --- one int per signature ------------------------------------------------
 
 def test_block_signatures_share_equal_sets_and_records():
     # 60 states in one block, each with a visible step out of it: two
@@ -330,21 +330,22 @@ def test_block_signatures_share_equal_sets_and_records():
     trans += [(f"s{i}", TAU, f"s{i}") for i in range(0, n, 3)]
     index = Lts(states, (TAU,), tuple(trans)).index
     block = [0] * n + [1]
-    for variant, marker, distinct in ((DB, None, 2), (ED, DIVERGES, 4),
+    for variant, marker, distinct in ((DB, 0, 2), (ED, DIVERGES, 4),
                                       (DS, COMPLETES, 4)):
         # no silent step joins two states: each is a component of its own
         records = dict.fromkeys(range(n))
-        _block_signatures([[u] for u in range(n)], block, index, variant,
-                          records)
+        bit = _block_signatures([[u] for u in range(n)], block, index,
+                                variant, records)
         assert len(records) == n
-        sets = list(records.values())
-        assert len(set(sets)) == distinct
-        assert len(set(map(id, sets))) == distinct
-        # each set as the round reads it: the marker exactly on the loops
+        assert len(set(records.values())) == distinct
+        # each signature as the round reads it, decoded: the marker
+        # exactly on the loops
         for u in range(n):
-            real = {(1 if u % 2 == 0 else 2) + len(index.actions)}
-            looped = {marker} if marker is not None and u % 3 == 0 else set()
-            assert records[u] == real | looped
+            obs = records[u]
+            real = {c for c, b in bit.items() if obs & b}
+            assert real == {(1 if u % 2 == 0 else 2) + len(index.actions)}
+            assert obs & (DIVERGES | COMPLETES) == (
+                marker if u % 3 == 0 else 0)
 
 
 # --- the id-based Partition against a frozenset reference ------------------

@@ -19,19 +19,12 @@ part of the engine.  ``distinguish`` reads the integer rounds of
 ``refinement_history`` and computes a signature only where a split needs
 one; its formulas must be the same.
 
-``ref_enumerate_formulas`` is the enumeration as a loop driven by
-``push``/``more`` flags; the generator that replaced it must return the
-same formulas in the same order on a grid of propositions, depths,
-budgets and both ``include_infinity`` values.
-
 The last tests check the deadlock-extension theorems on generated
 inputs (the fixed-seed versions are in ``test_transforms.py``).
 """
 
 import copy
 import itertools
-
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +33,6 @@ from dtk import equivalences
 from dtk.equivalences import EquivVariant
 from dtk.logic import (
     _KEYWORDS,
-    enumerate_formulas,
     TRUE,
     And,
     ExistsG,
@@ -459,48 +451,6 @@ def ref_distinguish(k, s, t, variant):
     raise AssertionError("unreachable: states differ in the final partition")
 
 
-def ref_enumerate_formulas(props, depth, budget, include_infinity=True):
-    if depth > 4:
-        raise ValueError("enumeration depth is capped at 4")
-    atoms = [TRUE] + [Prop(p) for p in sorted(props)]
-    level = atoms + [Not(f) for f in atoms]
-    out = list(level[:budget])
-    seen = set(out)
-
-    def push(f, fresh):
-        if len(out) >= budget:
-            return False
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-            fresh.append(f)
-        return len(out) < budget
-
-    for _ in range(depth):
-        fresh = []
-        more = True
-        for lhs in level:
-            for rhs in level:
-                more = (push(ExistsUntil(lhs, rhs), fresh)
-                        and push(Not(ExistsUntil(lhs, rhs)), fresh))
-                if not more:
-                    break
-            if not more:
-                break
-        if more:
-            for f in level:
-                more = push(ExistsG(f), fresh) and push(Not(ExistsG(f)), fresh)
-                if more and include_infinity:
-                    more = (push(ExistsGInf(f), fresh)
-                            and push(Not(ExistsGInf(f)), fresh))
-                if not more:
-                    break
-        level = level + fresh
-        if not more:
-            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -706,17 +656,3 @@ def test_encode_E_is_exact_across_the_extension(k, phi):
 def test_sdelta_eval_is_truth_at_the_sink(k, phi):
     d, sink = deadlock_extension(k)
     assert sdelta_eval(phi) == (sink in sat(d, phi, MAX))
-
-
-# ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("props", [(), ("q",), ("q", "p"), ("q", "p", "r")])
-@pytest.mark.parametrize("include_infinity", [True, False])
-def test_enumerate_formulas_matches_reference(props, include_infinity):
-    for depth in range(5):
-        for budget in (0, 1, 3, 8, 30, 200, 1000, 3000):
-            args = (props, depth, budget, include_infinity)
-            got = enumerate_formulas(*args)
-            assert repr(got) == repr(ref_enumerate_formulas(*args)), args

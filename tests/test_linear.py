@@ -29,7 +29,6 @@ from dtk.linear import (
     P_TRUE,
     TraceVariant,
     _canonical_lasso,
-    coloured_traces,
     complete_traces,
     distinguish_ltl,
     eval_path_formula,
@@ -184,9 +183,8 @@ def test_bound_must_be_positive():
 
 def test_unknown_state_is_a_value_error():
     l = Lts(("a",), (TAU,), ())
-    for search in (complete_traces, coloured_traces):
-        with pytest.raises(ValueError, match="unknown state 'nope'"):
-            search(l, "nope", "trivial", 3)
+    with pytest.raises(ValueError, match="unknown state 'nope'"):
+        complete_traces(l, "nope", "trivial", 3)
     k = KripkeStructure(("a",), {}, ())
     with pytest.raises(ValueError, match="unknown state 'nope'"):
         maximal_path_representatives(k, "nope")
@@ -204,24 +202,7 @@ def test_complete_traces_match_path_search(g, data):
                 == path_search_traces(g, s, colouring, bound))
 
 
-# --- prefix property and completeness characterisation ------------------------
-
-def test_traces_are_prefixes_of_complete_traces():
-    rng = random.Random(71)
-    for _ in range(40):
-        l = random_acyclic_lts(rng, max_states=4)
-        part = coarsest_partition_lts(l, EquivVariant.EXPLICIT_DIVERGENCE)
-        for s in l.states:
-            full, exhausted = complete_traces(l, s, part, 8)
-            assert exhausted
-            prefixes = set()
-            for t in full:
-                steps = t.items
-                # prefixes on step boundaries: (c0), (c0,a1,c1), ...
-                for i in range(1, len(steps) + 1, 2):
-                    prefixes.add(steps[:i])
-            assert coloured_traces(l, s, part, 8) == prefixes
-
+# --- completeness characterisation -------------------------------------------
 
 def test_complete_traces_are_the_nonextendable_divergent_or_infinite():
     rng = random.Random(72)
@@ -231,7 +212,10 @@ def test_complete_traces_are_the_nonextendable_divergent_or_infinite():
         for s in l.states:
             full, exhausted = complete_traces(l, s, part, 8)
             assert exhausted
-            all_items = coloured_traces(l, s, part, 8)
+            # every trace: the prefixes on step boundaries, (c0),
+            # (c0, a1, c1), ... of the complete ones
+            all_items = {t.items[:i] for t in full
+                         for i in range(1, len(t.items) + 1, 2)}
             complete_items = {t.items for t in full}
             divergent = {t.items for t in full if t.end == DIVERGENCE}
             nonextendable = {

@@ -1,13 +1,12 @@
 """Differential tests of the linear-time layer against recursive references.
 
-The references below are the code that the one trace search and the
-bottom-up path labelling replaced: a second search for coloured traces,
-a recursive path-formula evaluator over suffix paths, and the tuple
-trace forms that ``distinguish_ltl`` compared with their own sequence
-equality.  ``trace_equiv`` is checked against its own steps run on the
-recursive path search of ``tests_helpers``.  The references recurse, so
-they only see small inputs here: generated cyclic and acyclic systems
-under every colouring.
+The references below are the code that the bottom-up path labelling
+replaced: a recursive path-formula evaluator over suffix paths, and the
+tuple trace forms that ``distinguish_ltl`` compared with their own
+sequence equality.  ``trace_equiv`` is checked against its own steps
+run on the recursive path search of ``tests_helpers``.  The references
+recurse, so they only see small inputs here: generated cyclic and
+acyclic systems.
 """
 
 from hypothesis import given, settings
@@ -25,12 +24,9 @@ from dtk.linear import (
     PUntil,
     TraceVariant,
     TraceVerdict,
-    _colouring_fn,
     _completion_forms,
-    _flatten,
     _prefix_formula,
     _step_key,
-    coloured_traces,
     complete_traces,
     distinguish_ltl,
     eval_path_formula,
@@ -38,39 +34,12 @@ from dtk.linear import (
     trace_equiv,
 )
 from dtk.structures import (
-    KripkeStructure, Lts, Path, TAU, path_is_maximal, path_is_valid)
-from tests_helpers import (
-    every_colouring, name_keyed_steps, path_search_traces, trace_graphs)
+    KripkeStructure, Lts, Path, path_is_maximal, path_is_valid)
+from tests_helpers import path_search_traces, trace_graphs
 
 # ---------------------------------------------------------------------------
 # References
 # ---------------------------------------------------------------------------
-
-
-def _coloured_traces(g, s, colouring, bound):
-    """Every contracted trace of at most ``bound`` steps, by its own
-    search over (state, trace so far) configurations."""
-    colour = _colouring_fn(g, colouring)
-    edges, _ = name_keyed_steps(g)
-    is_lts = not isinstance(g, KripkeStructure)
-    start = colour(s)
-    seen_configs = set()
-    out = set()
-    stack = [(s, ())]
-    while stack:
-        (u, steps) = stack.pop()
-        if (u, steps) in seen_configs:
-            continue
-        seen_configs.add((u, steps))
-        out.add((start,) + _flatten(steps, is_lts))
-        for (a, v) in edges[u]:
-            cv = colour(v)
-            silent = (a is None) or a == TAU
-            if silent and cv == colour(u):
-                stack.append((v, steps))
-            elif len(steps) < bound:
-                stack.append((v, steps + ((a, cv),)))
-    return out
 
 
 def _suffixes(path: Path):
@@ -285,16 +254,6 @@ path_formulas = st.recursive(
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=300, deadline=None)
-@given(trace_graphs(), st.data())
-def test_coloured_traces_match_reference(g, data):
-    s = data.draw(st.sampled_from(g.states))
-    bound = data.draw(st.integers(1, 5))
-    for colouring in every_colouring(g):
-        assert (coloured_traces(g, s, colouring, bound)
-                == _coloured_traces(g, s, colouring, bound))
 
 
 @settings(max_examples=300, deadline=None)

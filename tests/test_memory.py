@@ -1,4 +1,5 @@
-"""Allocation guards for the compose → check-equiv path.
+"""Allocation guards for the compose → check-equiv path, and for
+refinement at scale.
 
 The product is built the way the compose-traces benchmark builds its
 own: three random 10-state DAGs (a visible backbone, three silent and
@@ -14,10 +15,18 @@ it returns with its found pairs keyed by tuples, and 1.8 MB keyed by
 one int.  Rendering held 1.3-1.5 MB beyond the product with a dict of
 renamed ids and a set of taken names, and 0.8-0.9 MB with a list and a
 dict.
+
+At scale the LTS is ``bench/baseline.py``'s shape: 8000 states, three
+out-steps each, half of them silent, from seed 1.  Its giant inert
+components make the observation set the cost: as Python sets, shared
+between equal signatures, ed refinement peaked at 13.7 MB and db at
+19.9 MB; as one int per signature, each peaks at 1.4 MB.
 """
 
+import importlib.util
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +101,22 @@ def test_merge_then_render_hold_little_beyond_the_product(last_fold):
     assert lines == 10**4 + 51000
     assert (peak - size) / MB < 1.9
     assert render_peak / MB < 1.15
+
+
+def _baseline_lts(n, seed):
+    """The random LTS of ``bench/baseline.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "baseline.py"
+    spec = importlib.util.spec_from_file_location("bench_baseline", path)
+    baseline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(baseline)
+    return baseline.random_lts(random.Random(seed), n)
+
+
+@pytest.mark.parametrize("variant", [EquivVariant.EXPLICIT_DIVERGENCE,
+                                     EquivVariant.DIVERGENCE_BLIND])
+def test_refinement_at_scale_holds_one_int_per_signature(variant):
+    lts = _baseline_lts(8000, 1)
+    lts.index.preds   # the index is the structure's, not the refinement's
+    partition, peak = _peak(lambda: coarsest_partition(lts, variant))
+    assert len(partition) > 3000
+    assert peak < 4

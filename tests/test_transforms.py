@@ -66,6 +66,16 @@ def test_eta_leaves_silent_systems_alone():
     assert all(len(props) == 1 for props in d.labelling.values())
 
 
+def test_eta_dummy_proposition_avoids_the_actions():
+    # the originals' label is the first of st, st_0, st_1, ... that no
+    # action spells, so a midpoint's label never equals it
+    l = Lts(("u", "v"), (TAU,), (("u", "st", "v"), ("v", "st_0", "u")))
+    d = eta_midpoint(l)
+    assert d.labelling["u"] == d.labelling["v"] == {"st_1"}
+    assert {d.labelling[m] for m in d.states[2:]} == {
+        frozenset({"st"}), frozenset({"st_0"})}
+
+
 def test_eta_state_count():
     rng = random.Random(21)
     for _ in range(100):

@@ -6,6 +6,7 @@ from dtk.equivalences import EquivVariant, Partition, coarsest_partition
 from dtk.linear import (
     DEADLOCK, DIVERGENCE, LASSO, OPEN, ColouredTrace, PAnd, PInfinity, PNot,
     PProp, PUntil, _canonical_lasso, _colouring_fn, _flatten)
+from dtk.logic import TRUE, ExistsG, ExistsGInf, ExistsUntil, Not, Prop
 from dtk.structures import KripkeStructure, Lts, Path, TAU
 
 
@@ -210,3 +211,49 @@ def path_search_traces(g, s, colouring, bound):
     return emitted, not open_seen[0]
 
 
+def ref_enumerate_formulas(props, depth, budget, include_infinity=True):
+    """Formulas to a temporal-operator depth (at most 4), in a fixed
+    order, the first ``budget`` of them: depth 0 holds ``true``, the
+    propositions and their negations; each further level adds every
+    until over two formulas of the levels before, then every globally
+    (and infinitely-globally) over one, each followed by its negation,
+    skipping formulas already listed."""
+    if depth > 4:
+        raise ValueError("enumeration depth is capped at 4")
+    atoms = [TRUE] + [Prop(p) for p in sorted(props)]
+    level = atoms + [Not(f) for f in atoms]
+    out = list(level[:budget])
+    seen = set(out)
+
+    def push(f, fresh):
+        if len(out) >= budget:
+            return False
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+            fresh.append(f)
+        return len(out) < budget
+
+    for _ in range(depth):
+        fresh = []
+        more = True
+        for lhs in level:
+            for rhs in level:
+                more = (push(ExistsUntil(lhs, rhs), fresh)
+                        and push(Not(ExistsUntil(lhs, rhs)), fresh))
+                if not more:
+                    break
+            if not more:
+                break
+        if more:
+            for f in level:
+                more = push(ExistsG(f), fresh) and push(Not(ExistsG(f)), fresh)
+                if more and include_infinity:
+                    more = (push(ExistsGInf(f), fresh)
+                            and push(Not(ExistsGInf(f)), fresh))
+                if not more:
+                    break
+        level = level + fresh
+        if not more:
+            break
+    return out
