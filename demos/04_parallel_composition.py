@@ -7,12 +7,7 @@ and is exactly as coarse as compositionality allows.
 """
 
 from dtk import figures
-from dtk.compose import (
-    coarsest_congruence_probe,
-    congruence_counterexample,
-    congruence_sample,
-    merge,
-)
+from dtk.compose import coarsest_congruence_probe, merge
 from dtk.equivalences import EquivVariant
 
 l = figures.deadlock_merge_example_lts()
@@ -30,29 +25,16 @@ for root in ("0", "Delta0"):
         print(f"    {u} -{a}-> {v}")
 print()
 
-print("== verdicts ==")
-report = congruence_counterexample()
-print("components equivalent (divergence sensitive):",
-      report.components_ds_equivalent)
-print("products   equivalent (divergence sensitive):",
-      report.products_ds_equivalent)
-print("products   equivalent (divergence blind)    :",
-      report.products_db_equivalent)
-print("components equivalent (explicit divergence) :",
-      report.components_ed_equivalent)
-print()
-
-print("== random congruence sampling ==")
-for variant in (EquivVariant.DIVERGENCE_BLIND,
-                EquivVariant.EXPLICIT_DIVERGENCE):
-    sample = congruence_sample(variant, trials=100, max_states=4, seed=7)
-    print(f"{variant.value}: {sample.passed}/{sample.trials} merged pairs "
-          f"stayed equivalent")
-print()
-
-print("== coarsest-congruence probe ==")
+print("== congruence probe: 0 vs Delta0 ==")
 probe = coarsest_congruence_probe(l, "0", "Delta0")
-print("pair explicit-divergence equivalent:", probe.pair_ed_equivalent)
-print(f"fresh context ({probe.fresh_action}) keeps them "
-      f"divergence-sensitive equivalent:", probe.fresh_context_ds)
-print("biconditional holds:", probe.biconditional_holds)
+DS = EquivVariant.DIVERGENCE_SENSITIVE
+print(f"the context performs the fresh action {probe.fresh_action!r} once, "
+      f"then deadlocks")
+print("variant  components  merged with the context")
+for variant in EquivVariant:
+    print(f"{variant.value:<9}{str(variant in probe.pair):<12}"
+          f"{variant in probe.in_context}")
+print("ds lost in the context (not a congruence):",
+      DS in probe.pair and DS not in probe.in_context)
+print("ed on the components iff ds in the context:",
+      probe.biconditional_holds)

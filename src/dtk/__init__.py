@@ -7,7 +7,7 @@ Submodules:
 * ``equivalences``  -- partition refinement for the bisimulation family
 * ``logic``         -- state-formula ASTs and fixpoint model checking
 * ``transforms``    -- structure transformations and formula encodings
-* ``compose``       -- interleaving merge and congruence experiments
+* ``compose``       -- interleaving merge and the congruence probe
 * ``linear``        -- coloured trace sets and linear-time equivalences
 * ``generators``    -- seeded random structures and formulas
 * ``figures``       -- the small worked examples used in tests and demos
@@ -40,9 +40,7 @@ _HOMES = {
     "transforms": (
         "deadlock_extension", "encode_D", "encode_E", "eta_midpoint",
         "ks_to_l2ts", "totalize_all_selfloops", "totalize_deadlock_selfloops"),
-    "compose": (
-        "coarsest_congruence_probe", "congruence_counterexample",
-        "congruence_sample", "merge"),
+    "compose": ("coarsest_congruence_probe", "merge"),
     "linear": (
         "ColouredTrace", "TraceVariant", "complete_traces", "distinguish_ltl",
         "eval_path_formula", "interleave_trace_sets",

@@ -1,20 +1,24 @@
-"""Interleaving merge and the congruence experiment harness.
+"""Interleaving merge and the congruence probe.
 
 The merge of two root states is the reachable fragment of the product in
 which either component moves independently.  Product states are rendered
 ``left|right``, and a pair whose name an earlier pair took (ids holding
 ``|`` allow it) gets a fresh one; the text renderers map ``|`` into the
 id charset when a product is written out.
+
+The probe reproduces the paper's two congruence results on one pair of
+states: it reads the pair's verdict under each equivalence variant, and
+again after merging both states with a context that performs one fresh
+action.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
-# only merge runs on the command line; the experiments below reach the
-# other engines through their modules, which load on first use
-from . import equivalences, figures, generators, linear
+# only merge runs on the command line; the probe below reaches the
+# refinement engine through its module, which loads on first use
+from . import equivalences
 from .structures import (Lts, TAU, Value, _Steps, disjoint_union_lts,
                          fresh_name)
 
@@ -92,100 +96,21 @@ def merged_pair_system(l1: Lts, s, l2: Lts, t, l3: Lts, s2, l4: Lts, t2):
     return union, root_left, map2[root_right]
 
 
-class CounterexampleReport(Value):
-    """The four verdicts of the deadlock/livelock composition experiment."""
-
-    __match_args__ = ("components_ds_equivalent", "products_ds_equivalent",
-                      "products_db_equivalent", "components_ed_equivalent")
-
-    @property
-    def matches_expected(self) -> bool:
-        return (self.components_ds_equivalent
-                and not self.products_ds_equivalent
-                and self.products_db_equivalent
-                and not self.components_ed_equivalent)
-
-
-def congruence_counterexample() -> CounterexampleReport:
-    """Reproduce the failure of divergence-sensitive equivalence under
-    merge: the deadlocked and livelocked components are equivalent, their
-    compositions with a visible action are not."""
-    l = figures.deadlock_merge_example_lts()
-    union, dead_root, live_root = merged_pair_system(
-        l, "0", l, "a", l, "Delta0", l, "a")
-    equivalent, variant = equivalences.equivalent, equivalences.EquivVariant
-    return CounterexampleReport(
-        components_ds_equivalent=equivalent(
-            l, "0", "Delta0", variant.DIVERGENCE_SENSITIVE),
-        products_ds_equivalent=equivalent(
-            union, dead_root, live_root, variant.DIVERGENCE_SENSITIVE),
-        products_db_equivalent=equivalent(
-            union, dead_root, live_root, variant.DIVERGENCE_BLIND),
-        components_ed_equivalent=equivalent(
-            l, "0", "Delta0", variant.EXPLICIT_DIVERGENCE),
-    )
-
-
-def distinguishing_completion_trace(bound: int = 3):
-    """The completion-trace witness behind the counterexample: the
-    livelocked product can stay silent forever, the deadlocked one
-    cannot.  Returns (traces of deadlocked product, traces of livelocked
-    product)."""
-    l = figures.deadlock_merge_example_lts()
-    dead_prod, dead_root = merge(l, "0", l, "a")
-    live_prod, live_root = merge(l, "Delta0", l, "a")
-    dead_traces, dead_exact = linear.complete_traces(
-        dead_prod, dead_root, "trivial", bound)
-    live_traces, live_exact = linear.complete_traces(
-        live_prod, live_root, "trivial", bound)
-    assert dead_exact and live_exact
-    return dead_traces, live_traces
-
-
-class SampleReport(Value):
-    __match_args__ = ("variant", "trials", "passed", "failures", "seed")
-
-
-def congruence_sample(variant: equivalences.EquivVariant, trials: int,
-                      max_states: int, seed: int) -> SampleReport:
-    """Random congruence probing: draw equivalent component pairs from
-    coarsest partitions and check the merged pairs stay equivalent.
-
-    Meaningful for the divergence-blind and explicit-divergence variants,
-    where equivalence is a merge congruence; failures are reported with
-    their trial index for reproduction."""
-    if variant is equivalences.EquivVariant.DIVERGENCE_SENSITIVE:
-        raise ValueError("divergence-sensitive equivalence is not a congruence")
-    rng = random.Random(seed)
-    failures = []
-    passed = 0
-    for trial in range(trials):
-        l = generators.random_lts(rng, max_states=max_states)
-        part = equivalences.coarsest_partition(l, variant)
-        pairs = [sorted(b)[:2] for b in part.members() if len(b) >= 2]
-        if pairs:
-            s, s2 = pairs[rng.randrange(len(pairs))]
-        else:
-            s = s2 = rng.choice(l.states)
-        t = rng.choice(l.states)
-        t2_candidates = [u for u in l.states if part.same_block(t, u)]
-        t2 = rng.choice(t2_candidates)
-        union, left_root, right_root = merged_pair_system(
-            l, s, l, t, l, s2, l, t2)
-        if equivalences.equivalent(union, left_root, right_root, variant):
-            passed += 1
-        else:
-            failures.append(f"trial {trial}: {s}|{t} vs {s2}|{t2}")
-    return SampleReport(variant, trials, passed, tuple(failures), seed)
-
-
 class ProbeReport(Value):
-    __match_args__ = ("pair_ed_equivalent", "context_ds_results",
-                      "fresh_action", "fresh_context_ds")
+    """The verdicts of one congruence probe: the variants, in declaration
+    order, under which the pair is equivalent, and those under which its
+    merges with the fresh-action context are.  They are tuples, not sets,
+    so a report prints the same under every ``PYTHONHASHSEED``."""
+
+    __match_args__ = ("pair", "in_context", "fresh_action")
 
     @property
     def biconditional_holds(self) -> bool:
-        return self.pair_ed_equivalent == self.fresh_context_ds
+        """Explicit-divergence equivalence of the pair exactly when the
+        fresh context keeps divergence-sensitive equivalence."""
+        variant = equivalences.EquivVariant
+        return ((variant.EXPLICIT_DIVERGENCE in self.pair)
+                == (variant.DIVERGENCE_SENSITIVE in self.in_context))
 
 
 def fresh_action_context(l: Lts):
@@ -196,26 +121,25 @@ def fresh_action_context(l: Lts):
                (("probe", action, "probe_end"),)), "probe", action
 
 
-def coarsest_congruence_probe(l: Lts, s, t, contexts=()) -> ProbeReport:
-    """Probe the coarsest-congruence characterisation.
+def _verdicts(g, s, t):
+    """The variants, in declaration order, under which s and t are
+    equivalent in g."""
+    return tuple(v for v in equivalences.EquivVariant
+                 if equivalences.equivalent(g, s, t, v))
 
-    Reports whether s and t are explicit-divergence equivalent, whether
-    each supplied context preserves divergence-sensitive equivalence of
-    the merged pairs, and whether the canonical fresh-action context
-    does.  Expected: explicit-divergence equivalence implies all context
-    checks pass, and its failure shows up at the fresh-action context.
+
+def coarsest_congruence_probe(l: Lts, s, t) -> ProbeReport:
+    """Compare s and t under each variant, and again after merging each
+    with the fresh-action context.
+
+    Divergence-sensitive equivalence can hold of the pair and fail in
+    the context, so it is not a merge congruence; explicit divergence
+    holds of the pair exactly when the context keeps divergence-sensitive
+    equivalence (``biconditional_holds``), so it is the coarsest
+    congruence inside it.
     """
-    equivalent, variant = equivalences.equivalent, equivalences.EquivVariant
-    ed = equivalent(l, s, t, variant.EXPLICIT_DIVERGENCE)
-    context_results = []
-    for (lc, u) in contexts:
-        union, left_root, right_root = merged_pair_system(
-            l, s, lc, u, l, t, lc, u)
-        context_results.append(equivalent(
-            union, left_root, right_root, variant.DIVERGENCE_SENSITIVE))
     ctx, root, action = fresh_action_context(l)
     union, left_root, right_root = merged_pair_system(
         l, s, ctx, root, l, t, ctx, root)
-    fresh_ds = equivalent(union, left_root, right_root,
-                          variant.DIVERGENCE_SENSITIVE)
-    return ProbeReport(ed, tuple(context_results), action, fresh_ds)
+    return ProbeReport(_verdicts(l, s, t),
+                       _verdicts(union, left_root, right_root), action)

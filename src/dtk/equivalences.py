@@ -365,9 +365,8 @@ def _check_cover(g, p: Partition):
 def _colouring_signatures(g, p: Partition, variant: EquivVariant):
     """Every state's signature over ``p``, one kernel pass over all
     states: the per-state block ids and signatures, as lists by state
-    id, and the pass's numbering; ``p`` must cover the states."""
-    _labels(g)
-    _check_cover(g, p)
+    id, and the pass's numbering.  The caller checks ``g`` (``_labels``)
+    and that ``p`` covers its states."""
     index, n = g.index, len(g.states)
     block = [p.block_of[s] for s in g.states]
     records = [None] * n
@@ -430,6 +429,8 @@ def oracle_coarsest_partition(g, variant: EquivVariant) -> Partition:
 def divergent_states(g, p: Partition) -> set:
     """States that start an infinite run of inert steps inside their own
     block (silent steps for an LTS, any steps for a Kripke structure)."""
+    _labels(g)
+    _check_cover(g, p)
     records = _colouring_signatures(g, p, EquivVariant.EXPLICIT_DIVERGENCE)[1]
     return {s for s, obs in zip(g.states, records) if obs & DIVERGES}
 

@@ -1,6 +1,6 @@
 """Seeded random structure and formula generators.
 
-Used by the congruence sampler and by the test/acceptance suites.
+Used by the test and acceptance suites; no engine module imports it.
 Every generator takes a ``random.Random``, not a seed, and is a
 deterministic function of it.
 """

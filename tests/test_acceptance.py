@@ -9,15 +9,9 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from dtk import figures
 from dtk.cli import main as cli_main
-from dtk.compose import (
-    coarsest_congruence_probe,
-    congruence_counterexample,
-    merge,
-)
+from dtk.compose import coarsest_congruence_probe, merge
 from dtk.equivalences import (
     EquivVariant,
     coarsest_partition_ks,
@@ -34,7 +28,6 @@ from dtk.generators import (
 from dtk.linear import (
     DEADLOCK,
     DIVERGENCE,
-    PInfinity,
     TraceVariant,
     complete_traces,
     eval_path_formula,
@@ -58,7 +51,6 @@ from dtk.structures import (
     parse_ks,
     render_ks,
     render_l2ts,
-    render_lts,
 )
 from dtk.transforms import (
     deadlock_extension,
@@ -139,11 +131,12 @@ def test_criterion_02_branching_figure():
 
 def test_criterion_03_congruence_counterexample():
     with criterion(3, "merge counterexample: four verdicts"):
-        report = congruence_counterexample()
-        assert report.components_ds_equivalent is True
-        assert report.products_ds_equivalent is False
-        assert report.products_db_equivalent is True
-        assert report.components_ed_equivalent is False
+        report = coarsest_congruence_probe(
+            figures.deadlock_merge_example_lts(), "0", "Delta0")
+        assert DS in report.pair
+        assert DS not in report.in_context
+        assert DB in report.in_context
+        assert ED not in report.pair
 
 
 def test_criterion_04_oracle_agreement():

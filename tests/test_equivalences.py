@@ -25,7 +25,7 @@ from dtk.equivalences import (
     refinement_history,
 )
 from dtk.generators import random_ks, random_lts
-from dtk.structures import KripkeStructure, Lts, TAU
+from dtk.structures import DoublyLabelledTS, KripkeStructure, Lts, TAU
 
 DB = EquivVariant.DIVERGENCE_BLIND
 DS = EquivVariant.DIVERGENCE_SENSITIVE
@@ -127,6 +127,27 @@ def test_check_colouring_rejects_mixed_labels_without_a_kernel_pass(
     # a colouring that misses a state is an error before its labels
     with pytest.raises(ValueError, match="cover"):
         check_colouring(k, Partition.from_blocks([["s"]], ["s"]), DB)
+
+
+def test_colouring_readers_check_their_input_once(monkeypatch):
+    l = figures.branching_example_lts()
+    p = Partition.from_blocks([[s] for s in l.states], l.states)
+    calls = []
+    for name in ("_labels", "_check_cover"):
+        def counted(*args, name=name, real=getattr(equivalences, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(equivalences, name, counted)
+    check_colouring(l, p, ED)
+    divergent_states(l, p)
+    assert calls == ["_labels", "_check_cover"] * 2
+    d = DoublyLabelledTS(("s",), {}, ())
+    partial = Partition.from_blocks([[l.states[0]]], [l.states[0]])
+    for read in (lambda g, q: check_colouring(g, q, ED), divergent_states):
+        with pytest.raises(TypeError, match="unsupported structure"):
+            read(d, Partition({"s": 0}))
+        with pytest.raises(ValueError, match="cover"):
+            read(l, partial)
 
 
 # --- divergence -------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Property tests: text round trips of structures and formulas, the
 state index, refinement against the brute-force oracle and across the
-LTS-to-Kripke translation, ed and db as merge congruences, and the
-consistency check against a pairwise reference."""
+LTS-to-Kripke translation, ed and db as merge congruences, the
+congruence probe's report, and the consistency check against a pairwise
+reference."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtk.compose import merged_pair_system
+from dtk.compose import coarsest_congruence_probe, merged_pair_system
 from dtk.equivalences import (
     ORACLE_STATE_BOUND,
     EquivVariant,
@@ -188,6 +189,23 @@ def test_ed_and_db_are_merge_congruences(l1, l2, variant, data):
     t = data.draw(st.sampled_from(l2.states))
     union, left, right = merged_pair_system(l1, s, l2, t, l1, s2, l2, t)
     assert equivalent(union, left, right, variant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures("lts"), st.data())
+def test_congruence_probe_verdicts_nest_and_survive_the_context(l, data):
+    """Each verdict tuple is a prefix of (db, ds, ed): declaration order,
+    and ed implies ds implies db.  db and ed of the pair survive the
+    fresh-action context, and ds survives it exactly when ed holds."""
+    s, t = (data.draw(st.sampled_from(l.states)) for _ in range(2))
+    report = coarsest_congruence_probe(l, s, t)
+    variants = tuple(EquivVariant)
+    for verdicts in (report.pair, report.in_context):
+        assert verdicts == variants[:len(verdicts)]
+    for variant in (EquivVariant.DIVERGENCE_BLIND,
+                    EquivVariant.EXPLICIT_DIVERGENCE):
+        assert variant not in report.pair or variant in report.in_context
+    assert report.biconditional_holds
 
 
 def _pairwise_consistency(d):

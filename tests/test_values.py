@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from dtk.compose import CounterexampleReport, ProbeReport, SampleReport
+from dtk.compose import ProbeReport
 from dtk.equivalences import EquivVariant, Partition
 from dtk.linear import (
     ColouredTrace, LtlWitness, PAnd, PInfinity, PNot, PProp, PUntil,
@@ -53,9 +53,9 @@ def test_reprs_name_every_field():
         "StateIndex(number={}, succ=[], actions=['tau'], sources=[])")
     assert repr(LtlWitness(PInfinity(), "s", "t")) == \
         "LtlWitness(formula=PInfinity(), holds_from='s', fails_from='t')"
-    assert repr(SampleReport(EquivVariant.EXPLICIT_DIVERGENCE, 1, 1, (), 7)) \
-        == ("SampleReport(variant=<EquivVariant.EXPLICIT_DIVERGENCE: 'ed'>, "
-            "trials=1, passed=1, failures=(), seed=7)")
+    assert repr(ProbeReport((EquivVariant.EXPLICIT_DIVERGENCE,), (), "f")) \
+        == ("ProbeReport(pair=(<EquivVariant.EXPLICIT_DIVERGENCE: 'ed'>,), "
+            "in_context=(), fresh_action='f')")
 
 
 def test_equality_and_hash_follow_type_and_fields():
@@ -71,9 +71,9 @@ def test_equality_and_hash_follow_type_and_fields():
     assert (ColouredTrace(("a", "b"), "lasso", ("b",))
             != ColouredTrace(("a", "b"), "open"))
     assert len({TraceVerdict(True, True), TraceVerdict(True, True)}) == 1
-    assert (CounterexampleReport(True, False, True, False)
-            == CounterexampleReport(True, False, True, False))
-    assert ProbeReport(True, (), "f", True) != ProbeReport(True, (), "g", True)
+    db = (EquivVariant.DIVERGENCE_BLIND,)
+    assert ProbeReport(db, (), "f") == ProbeReport(db, (), "f")
+    assert ProbeReport(db, (), "f") != ProbeReport(db, (), "g")
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -135,9 +135,9 @@ def test_keyword_construction_and_defaults():
 
 def test_the_shared_constructor_takes_each_field_once():
     # types without their own __init__ take fields by position or name
-    report = CounterexampleReport(True, False, products_db_equivalent=True,
-                                  components_ed_equivalent=False)
-    assert report == CounterexampleReport(True, False, True, False)
+    db = (EquivVariant.DIVERGENCE_BLIND,)
+    report = ProbeReport(db, in_context=db, fresh_action="f")
+    assert report == ProbeReport(db, db, "f")
     assert Partition(block_of={}) == Partition({})
     assert PInfinity().__dict__ == {}
     for args, kwargs in (((True,), {}), ((True, ()), {"consistent": True}),
